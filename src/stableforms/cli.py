@@ -59,7 +59,8 @@ def _read_form(path):
         raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     try:
         form = KForm.from_json(json.loads(raw.decode("utf-8")))
-    except (ValueError, DimensionError, UnicodeDecodeError) as exc:
+    except (ValueError, DimensionError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: json.loads on deeply nested arrays or objects
         raise CliFailure(EXIT_PARSE, f"cannot parse {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     return form, {"path": path, "sha256": digest}

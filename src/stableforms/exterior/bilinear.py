@@ -52,9 +52,12 @@ class SymBilinear:
     def restrict(self, vectors):
         """Gram matrix of the given vectors as a SymBilinear."""
         vecs = [linalg.coerce_vector(v) for v in vectors]
-        k = len(vecs)
-        gram = [[self.apply(vecs[i], vecs[j]) for j in range(k)] for i in range(k)]
-        return SymBilinear(k, gram)
+        images = [linalg.mat_vec(self.entries, v) for v in vecs]
+        gram = [
+            [sum((x * y for x, y in zip(u, bv)), Scalar(0)) for bv in images]
+            for u in vecs
+        ]
+        return SymBilinear(len(vecs), gram)
 
     def transform(self, matrix):
         """Congruent form A^T B A for the square matrix A."""

@@ -247,12 +247,17 @@ class KForm:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of to_json: `dim`, `degree` and each `idx` entry must be
+        JSON integers, `idx` a list and `c` a scalar string."""
         try:
-            dim = int(obj["dim"])
-            degree = int(obj["degree"])
-            terms = [
-                (tuple(t["idx"]), Scalar.parse(t["c"])) for t in obj["terms"]
-            ]
+            dim = _json_int(obj["dim"])
+            degree = _json_int(obj["degree"])
+            terms = []
+            for t in obj["terms"]:
+                idx = t["idx"]
+                if type(idx) is not list:
+                    raise TypeError(f"idx must be a list, got {idx!r}")
+                terms.append((tuple(map(_json_int, idx)), Scalar.parse(t["c"])))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form object: {exc}") from exc
         return cls(dim, degree, terms)
@@ -260,6 +265,12 @@ class KForm:
     @classmethod
     def from_json_str(cls, text):
         return cls.from_json(json.loads(text))
+
+
+def _json_int(x):
+    if type(x) is not int:  # rejects bool, float and str
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def wedge(alpha, beta):

@@ -37,9 +37,11 @@ def square_free_split(n):
     return s, d
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# A denominator must hold a non-zero digit, so "1/0" is malformed input.
+_UNSIGNED = r"\d+(?:/\d*[1-9]\d*)?"
+_RAT = rf"[+-]?{_UNSIGNED}"
 _PURE = re.compile(rf"(?P<b>{_RAT})\*sqrt\((?P<d>\d+)\)")
-_MIXED = re.compile(rf"(?P<a>{_RAT})(?P<sgn>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)")
+_MIXED = re.compile(rf"(?P<a>{_RAT})(?P<sgn>[+-])(?P<b>{_UNSIGNED})\*sqrt\((?P<d>\d+)\)")
 _PLAIN = re.compile(_RAT)
 
 
@@ -266,6 +268,8 @@ class Scalar:
 
     @staticmethod
     def parse(text):
+        if not isinstance(text, str):
+            raise TypeError(f"scalar literal must be a string, got {text!r}")
         s = text.replace(" ", "")
         m = _MIXED.fullmatch(s)
         if m:

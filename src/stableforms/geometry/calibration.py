@@ -7,6 +7,8 @@ ninth root of det B: calibration is decided by the sign of phi on the
 oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.
 """
 
+from itertools import combinations
+
 from ..errors import NotCalibratedError, OrbitError
 from ..exterior import KForm, Scalar, basis_vector, linalg, signature
 from .orbits import Orbit7, classify7
@@ -32,55 +34,59 @@ def cross_product(phi, u, v):
     return linalg.solve(cls.bilinear.entries, rhs)
 
 
-def _calibration_identity(phi, bilinear, plane):
+def _calibration(phi, cls, plane):
+    """(phi on the plane's basis, Gram matrix of the plane under B) when
+    the plane is calibrated for the classified form -- positively
+    calibrated (spacelike as well) for a split-type form -- else None."""
     val = phi.evaluate(*plane.vectors)
     if val.sign() <= 0:
-        return False
-    gram = bilinear.restrict(plane.vectors)
-    return val ** 6 * linalg.det(bilinear.entries) == linalg.det(gram.entries) ** 3
+        return None
+    gram = cls.bilinear.restrict(plane.vectors)
+    if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
+        return None
+    if val ** 6 * linalg.det(cls.bilinear.entries) != linalg.det(gram.entries) ** 3:
+        return None
+    return val, gram
 
 
 def is_calibrated(phi, plane):
     """Whether phi restricts to the metric volume on the oriented plane."""
     cls = _classified(phi, Orbit7.G2, "is_calibrated")
-    return _calibration_identity(phi, cls.bilinear, plane)
+    return _calibration(phi, cls, plane) is not None
 
 
 def is_positively_calibrated(phi, plane):
     """Calibration for split-type forms: the plane must also be spacelike."""
     cls = _classified(phi, Orbit7.G2_TILDE, "is_positively_calibrated")
-    gram = cls.bilinear.restrict(plane.vectors)
-    if signature(gram) != (3, 0, 0):
-        return False
-    return _calibration_identity(phi, cls.bilinear, plane)
-
-
-def _projection(bilinear, plane):
-    """B-orthogonal projection onto the plane as a 7x7 matrix."""
-    v = plane.basis_matrix()  # 3 x 7
-    gram = bilinear.restrict(plane.vectors)
-    ginv = linalg.inverse(gram.entries)
-    vt = linalg.transpose(v)
-    return linalg.mat_mul(
-        linalg.mat_mul(linalg.mat_mul(vt, ginv), v), bilinear.entries
-    )
+    return _calibration(phi, cls, plane) is not None
 
 
 def calibrated_swap(phi, plane):
     """2*phi|_C - phi across a (positively) calibrated plane C; lands in
-    the opposite stable orbit and is an involution."""
+    the opposite stable orbit and is an involution.
+
+    phi|_C is the pullback of phi along the B-orthogonal projection onto
+    C, which sends x to sum_k lambda_k(x) v_k for the rows lambda_k of
+    Lambda = G^-1 V B (V: the basis as rows, G = V B V^T).  So phi|_C =
+    phi(v1, v2, v3) lambda_1 ^ lambda_2 ^ lambda_3, whose coefficients
+    are the 35 3x3 minors of Lambda."""
     cls = classify7(phi)
-    if cls.orbit is Orbit7.G2 and cls.standard_orientation:
-        if not is_calibrated(phi, plane):
-            raise NotCalibratedError("plane is not calibrated for this form")
-    elif cls.orbit is Orbit7.G2_TILDE and cls.standard_orientation:
-        if not is_positively_calibrated(phi, plane):
-            raise NotCalibratedError("plane is not positively calibrated for this form")
-    else:
+    if cls.orbit is Orbit7.NON_STABLE or not cls.standard_orientation:
         raise OrbitError(f"swap needs a stable standard-orientation form, got {cls.orbit.value}")
-    proj = _projection(cls.bilinear, plane)
-    restricted = phi.pullback(proj)
-    return restricted * Scalar(2) - phi
+    found = _calibration(phi, cls, plane)
+    if found is None:
+        kind = "calibrated" if cls.orbit is Orbit7.G2 else "positively calibrated"
+        raise NotCalibratedError(f"plane is not {kind} for this form")
+    val, gram = found
+    lam = linalg.mat_mul(
+        linalg.mat_mul(linalg.inverse(gram.entries), plane.vectors), cls.bilinear.entries
+    )
+    twice = val * Scalar(2)
+    restricted = {
+        idx: twice * linalg.det(tuple(tuple(row[i - 1] for i in idx) for row in lam))
+        for idx in combinations(range(1, 8), 3)
+    }
+    return KForm(7, 3, restricted) - phi
 
 
 def plane_from_cross(phi, u, v):

@@ -11,9 +11,11 @@ structure, the dual form, and the extension criteria.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Optional
 
-from ..errors import DimensionError, OrbitError
+from ..errors import DimensionError, OrbitError, ScalarContextError
 from ..exterior import (
     Endo,
     KForm,
@@ -25,6 +27,7 @@ from ..exterior import (
     signature,
     top_coefficient,
 )
+from ..exterior.forms import sort_signed
 from .planes import OrientedPlane
 
 
@@ -63,19 +66,105 @@ def _require(form, dim, degree, what):
         )
 
 
+# Index tables of the closed form in induced_bilinear's docstring.
+_PAIRS = tuple(combinations(range(1, 8), 2))
+_TRIPLES = tuple(combinations(range(1, 8), 3))
+_UPPER = tuple((i, j) for j in range(7) for i in range(j + 1))
+
+
+def _partition_tables():
+    pair_at = {p: k for k, p in enumerate(_PAIRS)}
+    triple_at = {t: k for k, t in enumerate(_TRIPLES)}
+    # Row i of C: (A, the 3-set {i} + A, sign of sorting (i, a, b)).
+    contractions = tuple(
+        tuple(
+            (pair_at[p], triple_at[t], s)
+            for p in _PAIRS
+            for t, s in (sort_signed((i,) + p),)
+            if s
+        )
+        for i in range(1, 8)
+    )
+    # Row A of M: (B, the complement C', sign of the permutation (A, B, C')).
+    partitions = []
+    for a in _PAIRS:
+        row = []
+        for b in _PAIRS:
+            if a[0] in b or a[1] in b:
+                continue
+            c = tuple(k for k in range(1, 8) if k not in a and k not in b)
+            row.append((pair_at[b], triple_at[c], sort_signed(a + b + c)[1]))
+        partitions.append(tuple(row))
+    return contractions, tuple(partitions)
+
+
+_CONTRACTIONS, _PARTITIONS = _partition_tables()
+
+
+def _table_product(p):
+    """Entries of C M C^T at the positions _UPPER, for integer
+    coefficients p indexed like _TRIPLES."""
+    c = []
+    for row_table in _CONTRACTIONS:
+        row = [0] * 21
+        for a, t, s in row_table:
+            row[a] = s * p[t]
+        c.append(row)
+    m = [
+        [(b, s * p[t]) for b, t, s in row_table if p[t]]
+        for row_table in _PARTITIONS
+    ]
+    out = []
+    for j, cj in enumerate(c):
+        n = [sum(v * cj[b] for b, v in row) for row in m]
+        out.extend(sum(x * y for x, y in zip(ci, n)) for ci in c[: j + 1])
+    return out
+
+
 def induced_bilinear(phi):
     """Symmetric form B with B(u,v) = [(u.phi)^(v.phi)^phi] / 6 on the
-    reference volume; equals the metric of the model compact-type form."""
+    reference volume; equals the metric of the model compact-type form.
+
+    Closed form: 6 B = C M C^T, where C[i][A] = phi(e_i, e_a, e_b) over
+    the 21 2-sets A = {a, b} and M[A][B] = sign(A, B, C') phi_C' over
+    the 210 partitions of {1..7} into 2-sets A, B and the 3-set C'.
+
+    The coefficients are brought to one denominator L, the lcm of the
+    denominators of all their rational and radical parts, so that
+    phi = (X + sqrt(d) Y) / L with integer coefficient vectors X, Y and
+    the form's single radicand d.  The cubic K = C M C^T is taken in
+    Python ints and B = (R + sqrt(d) S) / (6 L^3).  Writing K(sX + tY) =
+    c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3, R = c0 + d c2 and
+    S = c1 + d c3, read off from K(X), K(Y), K(X + Y) and K(X - Y).
+    A form carrying two different radicands raises ScalarContextError.
+    """
     _require(phi, 7, 3, "induced_bilinear")
-    sixth = Fraction(1, 6)
-    cons = [phi.contract(basis_vector(7, i)) for i in range(1, 8)]
-    top = tuple(range(1, 8))
-    rows = [[Scalar(0)] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            c = cons[i].wedge(cons[j]).wedge(phi).coefficient(top) * sixth
-            rows[i][j] = c
-            rows[j][i] = c
+    terms = phi.terms
+    radicands = sorted({c.d for c in terms.values() if c.d})
+    if len(radicands) > 1:
+        raise ScalarContextError(
+            f"mixed radicands sqrt({radicands[0]}) and sqrt({radicands[1]})"
+        )
+    d = radicands[0] if radicands else 0
+    den = lcm(*(q.denominator for c in terms.values() for q in (c.a, c.b)))
+    coeffs = [terms.get(t) for t in _TRIPLES]
+    x = [c.a.numerator * (den // c.a.denominator) if c else 0 for c in coeffs]
+    rat = _table_product(x)
+    rad = [0] * len(_UPPER)
+    if d:
+        y = [c.b.numerator * (den // c.b.denominator) if c else 0 for c in coeffs]
+        c0 = rat
+        c3 = _table_product(y)
+        plus = _table_product([u + v for u, v in zip(x, y)])
+        minus = _table_product([u - v for u, v in zip(x, y)])
+        c2 = [(p + q) // 2 - r for p, q, r in zip(plus, minus, c0)]
+        c1 = [(p - q) // 2 - r for p, q, r in zip(plus, minus, c3)]
+        rat = [r + d * s for r, s in zip(c0, c2)]
+        rad = [r + d * s for r, s in zip(c1, c3)]
+    scale = 6 * den ** 3
+    rows = [[None] * 7 for _ in range(7)]
+    for (i, j), r, s in zip(_UPPER, rat, rad):
+        rows[i][j] = rows[j][i] = Scalar(Fraction(r, scale), Fraction(s, scale), d)
     return SymBilinear(7, rows)
 
 

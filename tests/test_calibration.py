@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import rand_vector
+from oracles import rand_glplus, rand_vector
 from stableforms import (
     KForm,
     NotCalibratedError,
@@ -15,8 +15,10 @@ from stableforms import (
     is_calibrated,
     is_positively_calibrated,
     plane_from_cross,
+    pullback,
     standard_form,
 )
+from stableforms.geometry import calibration
 from stableforms.exterior import linalg
 from stableforms.geometry.planes import OrientedPlane
 
@@ -136,8 +138,6 @@ def test_swap_on_random_cross_planes():
 
 def test_calibration_basis_independence():
     rng = random.Random(34)
-    from oracles import rand_glplus
-
     done = 0
     while done < 15:
         u = rand_vector(rng, 7, -2, 2)
@@ -149,3 +149,70 @@ def test_calibration_basis_independence():
         other = OrientedPlane(7, linalg.mat_mul(a, pl.basis_matrix()))
         assert is_calibrated(PHI, pl) == is_calibrated(PHI, other)
         done += 1
+
+
+def rand_plane(rng, phi):
+    while True:
+        u = rand_vector(rng, 7, -2, 2)
+        v = rand_vector(rng, 7, -2, 2)
+        if linalg.rank([u, v]) == 2:
+            return plane_from_cross(phi, u, v)
+
+
+def radical_glplus(rng, d):
+    """GL+ matrix over Q(sqrt(d)) with one irrational entry."""
+    while True:
+        m = [list(row) for row in rand_glplus(rng, 7)]
+        m[rng.randrange(7)][rng.randrange(7)] += Scalar(0, 1, d)
+        if linalg.det(m).sign() > 0:
+            return m
+
+
+def projection_swap(phi, pl):
+    """2 * phi.pullback(P) - phi for the B-orthogonal projection
+    P = V^T G^-1 V B onto the plane, built from the matrices."""
+    b = classify7(phi).bilinear.entries
+    v = pl.basis_matrix()
+    ginv = linalg.inverse(linalg.mat_mul(linalg.mat_mul(v, b), linalg.transpose(v)))
+    p = linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(linalg.transpose(v), ginv), v), b)
+    return phi.pullback(p) * Scalar(2) - phi
+
+
+def test_swap_classifies_once(monkeypatch):
+    calls = []
+    original = calibration.classify7
+
+    def counted(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(calibration, "classify7", counted)
+    swapped = calibrated_swap(PHI, plane(1, 2, 3))
+    assert len(calls) == 1
+    calibrated_swap(swapped, plane(1, 2, 3))
+    assert len(calls) == 2
+    with pytest.raises(NotCalibratedError):
+        calibrated_swap(PHI, plane(1, 2, 4))
+    assert len(calls) == 3
+
+
+def test_swap_matches_projection_pullback():
+    rng = random.Random(35)
+    for a in (rand_glplus(rng, 7), rand_glplus(rng, 7), radical_glplus(rng, 2)):
+        phi = pullback(a, PHI)
+        pl = rand_plane(rng, phi)
+        swapped = calibrated_swap(phi, pl)
+        assert swapped == projection_swap(phi, pl)
+        back = calibrated_swap(swapped, pl)
+        assert back == projection_swap(swapped, pl)
+
+
+def test_swap_is_involution_over_radicals():
+    rng = random.Random(36)
+    phi = pullback(radical_glplus(rng, 2), PHI)
+    assert any(not c.is_rational for c in phi.terms.values())
+    pl = rand_plane(rng, phi)
+    swapped = calibrated_swap(phi, pl)
+    cls = classify7(swapped)
+    assert cls.orbit is Orbit7.G2_TILDE and cls.standard_orientation
+    assert calibrated_swap(swapped, pl) == phi

@@ -68,6 +68,72 @@ def test_classify_parse_error(tmp_path, capsys):
     assert code == 2 and payload is None and err
 
 
+def classify_terms(tmp_path, capsys, terms):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"dim": 7, "degree": 3, "terms": terms}))
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_parse_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_classify_zero_denominator_exits_2(tmp_path, capsys):
+    result = classify_terms(tmp_path, capsys, [{"idx": [1, 2, 3], "c": "1/0"}])
+    assert_parse_error(*result)
+
+
+def test_classify_radical_zero_denominator_exits_2(tmp_path, capsys):
+    terms = [{"idx": [1, 2, 3], "c": "1+1/0*sqrt(2)"}]
+    assert_parse_error(*classify_terms(tmp_path, capsys, terms))
+
+
+def test_classify_numeric_coefficient_exits_2(tmp_path, capsys):
+    result = classify_terms(tmp_path, capsys, [{"idx": [1, 2, 3], "c": 5}])
+    assert_parse_error(*result)
+
+
+def test_classify_fractional_index_exits_2(tmp_path, capsys):
+    result = classify_terms(tmp_path, capsys, [{"idx": [1.5, 2, 3], "c": "1"}])
+    assert_parse_error(*result)
+
+
+def test_classify_string_index_exits_2(tmp_path, capsys):
+    result = classify_terms(tmp_path, capsys, [{"idx": "123", "c": "1"}])
+    assert_parse_error(*result)
+
+
+def test_classify_bool_index_exits_2(tmp_path, capsys):
+    result = classify_terms(tmp_path, capsys, [{"idx": [True, 2, 3], "c": "1"}])
+    assert_parse_error(*result)
+
+
+def test_classify_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert_parse_error(code, captured.out, captured.err)
+
+
+def test_classify_mixed_radicands_exits_3(tmp_path, capsys):
+    # g2 with one sqrt(2) and one sqrt(3) coefficient: one radical per
+    # computation, so this is unsupported input, never a wrong orbit.
+    terms = stableforms.standard_form("g2").to_json()["terms"]
+    terms[0]["c"] = "1*sqrt(2)"
+    terms[-1]["c"] = "-1*sqrt(3)"
+    code, out, err = classify_terms(tmp_path, capsys, terms)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_classify_unsupported_degree(tmp_path, capsys):
     from stableforms import KForm
 

@@ -17,6 +17,7 @@ from stableforms import (
     Orbit7,
     OrbitError,
     Scalar,
+    ScalarContextError,
     SymBilinear,
     classify6,
     classify7,
@@ -75,6 +76,66 @@ def test_induced_bilinear_split_is_split_metric():
 def test_induced_bilinear_decomposable_is_zero():
     b = induced_bilinear(KForm.basis(7, (1, 2, 3)))
     assert b == SymBilinear.zero(7)
+
+
+def assert_matches_oracle(phi):
+    b = induced_bilinear(phi)
+    assert [list(r) for r in b.entries] == naive_induced_bilinear(phi)
+
+
+def rand_radical_glplus(rng, d):
+    """GL+ matrix over Q(sqrt(d)) with one irrational entry."""
+    while True:
+        m = [list(row) for row in rand_glplus(rng, 7)]
+        m[rng.randrange(7)][rng.randrange(7)] += Scalar(0, rng.choice((1, -1, 2)), d)
+        if linalg.det(m).sign() > 0:
+            return m
+
+
+def test_induced_bilinear_oracle_dense_rational():
+    rng = random.Random(916)
+    for name in ("g2", "split_g2"):
+        for _ in range(2):
+            assert_matches_oracle(pullback(rand_glplus(rng, 7), standard_form(name)))
+
+
+def test_induced_bilinear_oracle_dense_radical():
+    rng = random.Random(917)
+    for d in (2, 3):
+        for name in ("g2", "split_g2"):
+            phi = pullback(rand_radical_glplus(rng, d), standard_form(name))
+            assert any(not c.is_rational for c in phi.terms.values())
+            assert_matches_oracle(phi)
+
+
+def test_induced_bilinear_oracle_sparse_and_degenerate():
+    rng = random.Random(918)
+    assert_matches_oracle(KForm.zero(7, 3))
+    assert_matches_oracle(KForm.basis(7, (1, 2, 3)))
+    for _ in range(12):
+        assert_matches_oracle(rand_kform(rng, 7, 3, max_terms=rng.randint(1, 8)))
+
+
+def test_induced_bilinear_oracle_fractional_coefficients():
+    rng = random.Random(919)
+    for _ in range(4):
+        phi = rand_kform(rng, 7, 3, max_terms=10) * Scalar(Fraction(rng.randint(1, 9), 7))
+        phi = phi + KForm.basis(7, (2, 4, 6), Fraction(-5, 12))
+        assert_matches_oracle(phi)
+    a = rand_glplus(rng, 7)
+    assert_matches_oracle(pullback(a, standard_form("g2")) * Scalar(Fraction(2, 3)))
+    radical = pullback(rand_radical_glplus(rng, 2), standard_form("split_g2"))
+    assert_matches_oracle(radical + KForm.basis(7, (1, 5, 7), Scalar(Fraction(1, 6), Fraction(-3, 10), 2)))
+
+
+def test_mixed_radicands_raise():
+    phi = standard_form("g2") + KForm(
+        7, 3, {(1, 2, 3): Scalar(0, 1, 2), (3, 5, 6): Scalar(0, 1, 3)}
+    )
+    with pytest.raises(ScalarContextError):
+        induced_bilinear(phi)
+    with pytest.raises(ScalarContextError):
+        classify7(phi)
 
 
 def test_induced_bilinear_equivariance():
