@@ -252,12 +252,7 @@ class KForm:
         try:
             dim = _json_int(obj["dim"])
             degree = _json_int(obj["degree"])
-            terms = []
-            for t in obj["terms"]:
-                idx = t["idx"]
-                if type(idx) is not list:
-                    raise TypeError(f"idx must be a list, got {idx!r}")
-                terms.append((tuple(map(_json_int, idx)), Scalar.parse(t["c"])))
+            terms = [(_json_ints(t["idx"]), Scalar.parse(t["c"])) for t in obj["terms"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form object: {exc}") from exc
         return cls(dim, degree, terms)
@@ -271,6 +266,12 @@ def _json_int(x):
     if type(x) is not int:  # rejects bool, float and str
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+def _json_ints(x):
+    if type(x) is not list:
+        raise TypeError(f"expected a list of integers, got {x!r}")
+    return tuple(map(_json_int, x))
 
 
 def wedge(alpha, beta):

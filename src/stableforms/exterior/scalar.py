@@ -9,21 +9,35 @@ answered exactly; floating point never enters.
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 from ..errors import ScalarContextError
 
 _ZERO = Fraction(0)
 
 
+# Trial division stops here; past it a radicand is refused, not factored.
+_TRIAL_LIMIT = 1 << 21
+
+
 def square_free_split(n):
-    """Write n >= 0 as s*s*d with d square-free; return (s, d)."""
+    """Write n >= 0 as s*s*d with d square-free; return (s, d).
+
+    Trial division runs only while p**3 <= m.  The cofactor m left then
+    has no prime factor below p and is below p**3, so it is 1, a prime,
+    a product of two distinct primes or a prime square, and one isqrt
+    tells them apart.  A radicand that still has p**3 <= m once p passes
+    2**21 raises ScalarContextError.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 0
     s, d, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
+        if p > _TRIAL_LIMIT:
+            raise ScalarContextError(f"radicand {n} is too large to factor")
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -33,8 +47,11 @@ def square_free_split(n):
             if e & 1:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m  # leftover factor is 1 or prime
-    return s, d
+    if m >= p * p:  # below p*p the cofactor is 1 or a prime
+        r = isqrt(m)
+        if r * r == m:
+            return s * r, d
+    return s, d * m
 
 
 # A denominator must hold a non-zero digit, so "1/0" is malformed input.

@@ -183,7 +183,7 @@ def plucker_class(plane):
 
 def decomposable_nonzero_count(n):
     """Exhaustive scan of the non-zero degree-2 classes with a rank <= 2
-    coefficient matrix (the compiled kernel when available)."""
+    coefficient matrix."""
     return kernels.count_decomposable_nonzero(n)
 
 

@@ -74,7 +74,8 @@ def grassmann_count(size, n, k):
 
 
 def grassmann_enumerate(n, k):
-    """One canonical RREF matrix per k-dimensional subspace of F2^n."""
+    """One canonical RREF matrix per k-dimensional subspace of F2^n, in
+    the order of `kernels.enumerate_rref`."""
     if not 0 <= k <= n:
         raise ValueError(f"subspace dimension {k} outside 0..{n}")
     if n > MAX_ENUM_DIM:
@@ -89,7 +90,8 @@ def grassmann_enumerate(n, k):
         )
     if k == 0:
         return [F2Matrix.zero(0, n)] if n else []
-    return [F2Matrix(n, rows) for rows in kernels.enumerate_rref(n, k)]
+    trusted = F2Matrix._trusted
+    return [trusted(n, rows) for rows in kernels.enumerate_rref(n, k)]
 
 
 # -- the stabilizer group of a coordinate k-plane inside GL(n) ----------

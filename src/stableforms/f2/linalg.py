@@ -3,6 +3,11 @@
 Column j (1-based from the left) of an n-column matrix sits at bit
 n - j, so the leftmost column is the most significant bit and reduced
 row-echelon rows print in the familiar order.
+
+The public constructor validates its rows.  Rows that a kernel in
+`kernels` built (`rref` output, `enumerate_rref` tuples) are canonical
+and in range by construction, and are wrapped by `_trusted` without
+checks.
 """
 
 from ..errors import DimensionError
@@ -19,11 +24,19 @@ class F2Matrix:
     def __init__(self, n, rows):
         if not 1 <= n <= MAX_COLS:
             raise DimensionError(f"column count {n} outside 1..{MAX_COLS}")
-        rows = tuple(int(r) for r in rows)
-        if any(r < 0 or r >> n for r in rows):
+        rows = tuple(map(int, rows))
+        if rows and (min(rows) < 0 or max(rows) >> n):
             raise DimensionError("row does not fit in the column count")
         self.n = n
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, n, rows):
+        """Wrap a tuple of rows that a kernel built; no checks."""
+        m = object.__new__(cls)
+        m.n = n
+        m.rows = rows
+        return m
 
     @classmethod
     def zero(cls, nrows, n):
@@ -57,7 +70,7 @@ class F2Matrix:
         return kernels.rank(self.rows)
 
     def rref(self):
-        return F2Matrix(self.n, kernels.rref(self.rows))
+        return F2Matrix._trusted(self.n, kernels.rref(self.rows))
 
     def is_rref(self):
         return self.rows == kernels.rref(self.rows) and 0 not in self.rows

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .exterior import KForm, Scalar
-from .exterior.forms import sort_signed
+from .exterior.forms import _json_int, _json_ints, sort_signed
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -84,10 +84,15 @@ class GaussQ:
 
     @staticmethod
     def parse(text):
+        if not isinstance(text, str):
+            raise TypeError(f"complex literal must be a string, got {text!r}")
         re_part, _, im_part = text.replace(" ", "").partition("+i*")
         if not _:
             raise ValueError(f"malformed complex literal {text!r}")
-        return GaussQ(Fraction(re_part), Fraction(im_part))
+        try:
+            return GaussQ(Fraction(re_part), Fraction(im_part))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -511,16 +516,23 @@ class TrigForm:
 
     @classmethod
     def from_json(cls, obj):
-        dim = int(obj["dim"])
-        scalars = {}
-        for item in obj["terms"]:
-            idx = tuple(item["idx"])
-            key = (tuple(item["freq"]), int(item.get("tdeg", 0)))
-            c = GaussQ.parse(item["c"])
-            acc = scalars.setdefault(idx, {})
-            acc[key] = acc.get(key, GaussQ()) + c
+        """Inverse of to_json: `dim`, `degree`, `tdeg` and each `idx` and
+        `freq` entry must be JSON integers, `idx` and `freq` lists and `c`
+        a string `re+i*im`."""
+        try:
+            dim = _json_int(obj["dim"])
+            degree = _json_int(obj["degree"])
+            scalars = {}
+            for item in obj["terms"]:
+                key = (_json_ints(item["freq"]), _json_int(item.get("tdeg", 0)))
+                c = GaussQ.parse(item["c"])
+                acc = scalars.setdefault(_json_ints(item["idx"]), {})
+                acc[key] = acc.get(key, GaussQ()) + c
+            has_t = bool(obj.get("t", False))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed form object: {exc}") from exc
         terms = {idx: TrigScalar(dim, acc) for idx, acc in scalars.items()}
-        return cls(dim, int(obj["degree"]), terms, bool(obj.get("t", False)))
+        return cls(dim, degree, terms, has_t)
 
     @classmethod
     def from_json_str(cls, text):

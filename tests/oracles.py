@@ -110,6 +110,89 @@ def naive_induced_bilinear(phi):
     return rows
 
 
+# -- GF(2) references --------------------------------------------------------
+# Rows are ints with column j (0-based from the left of an n-column matrix)
+# at bit n - 1 - j, as in stableforms.f2.kernels.
+
+
+def f2_rref(rows, n):
+    """Gauss-Jordan over GF(2) on 0/1 lists, column by column from the left;
+    the non-zero reduced rows, leading column first."""
+    mat = [[(r >> (n - 1 - j)) & 1 for j in range(n)] for r in rows]
+    lead = 0
+    for col in range(n):
+        pivot = next((i for i in range(lead, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[lead], mat[pivot] = mat[pivot], mat[lead]
+        for i in range(len(mat)):
+            if i != lead and mat[i][col]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[lead])]
+        lead += 1
+    return tuple(sum(bit << (n - 1 - j) for j, bit in enumerate(row)) for row in mat[:lead])
+
+
+def mask_enumerate_rref(n, k):
+    """All canonical RREF row-tuples of k-dimensional subspaces of F2^n."""
+    if k == 0:
+        return [()]
+    out = []
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        positions = [
+            (r, c)
+            for r, p in enumerate(pivots)
+            for c in range(p + 1, n)
+            if c not in pivot_set
+        ]
+        base = [1 << (n - 1 - p) for p in pivots]
+        for mask in range(1 << len(positions)):
+            rows = base[:]
+            mm = mask
+            for r, c in positions:
+                if mm & 1:
+                    rows[r] |= 1 << (n - 1 - c)
+                mm >>= 1
+            out.append(tuple(rows))
+    return out
+
+
+def bitscan_count_decomposable_nonzero(n):
+    """Number of non-zero alternating classes on n letters whose
+    coefficient matrix has rank <= 2 over GF(2)."""
+    if n > 8:
+        raise ValueError("scan is capped at 8 letters (2^28 classes)")
+    pairs = list(combinations(range(n), 2))
+    count = 0
+    for w in range(1, 1 << len(pairs)):
+        rows = [0] * n
+        ww = w
+        idx = 0
+        while ww:
+            if ww & 1:
+                i, j = pairs[idx]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            ww >>= 1
+            idx += 1
+        piv = {}
+        over = False
+        for v in rows:
+            while v:
+                m = v.bit_length() - 1
+                p = piv.get(m)
+                if p is None:
+                    piv[m] = v
+                    break
+                v ^= p
+            if len(piv) > 2:
+                over = True
+                break
+        if not over:
+            count += 1
+    return count
+
+
 # -- random generators -----------------------------------------------------
 
 

@@ -134,6 +134,16 @@ def test_classify_mixed_radicands_exits_3(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_classify_unfactorable_radicand_exits_3(tmp_path, capsys):
+    terms = stableforms.standard_form("g2").to_json()["terms"]
+    terms[0]["c"] = "1+1*sqrt(100000000000000000039)"
+    code, out, err = classify_terms(tmp_path, capsys, terms)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_classify_unsupported_degree(tmp_path, capsys):
     from stableforms import KForm
 

@@ -25,62 +25,75 @@ from stableforms.f2 import (
     q_pochhammer,
     stiefel_whitney,
 )
-from stableforms.f2 import _fallback, kernels
+from stableforms.f2 import kernels
 
-try:
-    from stableforms.f2 import _kernels  # compiled; optional
-
-    IMPLS = [_fallback, _kernels]
-except ImportError:
-    IMPLS = [_fallback]
+from oracles import (
+    bitscan_count_decomposable_nonzero,
+    f2_rref,
+    mask_enumerate_rref,
+)
 
 
 # -- raw kernels --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_kernel_rank_and_rref(impl):
+def test_kernel_rank_and_rref():
     rows = [0b1100, 0b0110, 0b1010, 0b0001]
-    assert impl.rank(rows) == 3
-    r = impl.rref(rows)
+    assert kernels.rank(rows) == 3
+    r = kernels.rref(rows)
     assert r == (0b1010, 0b0110, 0b0001)
-    assert impl.rref(r) == r  # canonical fixed point
-    assert impl.rank([0, 0]) == 0
-    assert impl.rref([0]) == ()
+    assert kernels.rref(r) == r  # canonical fixed point
+    assert kernels.rank([0, 0]) == 0
+    assert kernels.rref([0]) == ()
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_kernel_rref_is_subspace_invariant(impl):
+def test_kernel_rref_is_subspace_invariant():
     rng = random.Random(40)
     for _ in range(50):
         n = rng.randint(2, 8)
         k = rng.randint(1, n)
         rows = [rng.randrange(1, 1 << n) for _ in range(k)]
-        base = impl.rref(rows)
+        base = kernels.rref(rows)
         # random invertible row mixes leave the canonical form unchanged
         mixed = list(rows)
         for _ in range(6):
             i, j = rng.sample(range(len(mixed)), 2) if len(mixed) > 1 else (0, 0)
             if i != j:
                 mixed[i] ^= mixed[j]
-        assert impl.rref(mixed) == base
+        assert kernels.rref(mixed) == base
 
 
-def test_compiled_and_fallback_agree():
-    if len(IMPLS) < 2:
-        pytest.skip("compiled kernels not built")
-    rng = random.Random(41)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        rows = [rng.randrange(0, 1 << n) for _ in range(rng.randint(1, 6))]
-        assert _fallback.rank(rows) == _kernels.rank(rows)
-        assert _fallback.rref(rows) == _kernels.rref(rows)
-    for n, k in [(4, 2), (5, 3), (6, 2)]:
-        assert _fallback.enumerate_rref(n, k) == _kernels.enumerate_rref(n, k)
-    for n in (4, 5, 6):
-        assert _fallback.count_decomposable_nonzero(
-            n
-        ) == _kernels.count_decomposable_nonzero(n)
+def test_kernel_rref_and_rank_match_elimination():
+    rng = random.Random(44)
+    for _ in range(3000):
+        n = rng.randint(1, 24)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 10))]
+        if rows and rng.random() < 0.5:  # force dependent rows
+            rows.append(rows[0] ^ rows[-1])
+        want = f2_rref(rows, n)
+        assert kernels.rref(rows) == want
+        assert kernels.rank(rows) == len(want)
+
+
+def test_enumerate_rref_matches_mask_loop():
+    for n in range(8):
+        for k in range(n + 1):
+            want = mask_enumerate_rref(n, k)
+            assert kernels.enumerate_rref(n, k) == want
+            if n and k:
+                planes = grassmann_enumerate(n, k)
+                assert [p.rows for p in planes] == want
+                assert all(p.n == n for p in planes)
+
+
+def test_kernel_scan_matches_bit_scan_and_closed_form():
+    for n in range(1, 7):
+        got = kernels.count_decomposable_nonzero(n)
+        assert got == bitscan_count_decomposable_nonzero(n)
+        # rank-2 alternating n x n matrices over GF(q), q = 2 (MacWilliams 1969)
+        assert got == (2**n - 1) * (2 ** (n - 1) - 1) // 3
+    with pytest.raises(ValueError):
+        kernels.count_decomposable_nonzero(9)
 
 
 # -- counting ----------------------------------------------------------------
@@ -211,6 +224,19 @@ def test_plane_stabilizer_group_exhaustive():
                 assert plane_stabilizer_mul(xy, z) == plane_stabilizer_mul(
                     x, plane_stabilizer_mul(y, z)
                 )
+
+
+def test_f2matrix_constructor_validates():
+    with pytest.raises(DimensionError):
+        F2Matrix(4, [0b0101, -1])
+    with pytest.raises(DimensionError):
+        F2Matrix(4, [0b10000])
+    for n in (0, -1, 25):
+        with pytest.raises(DimensionError):
+            F2Matrix(n, [0])
+    assert F2Matrix(3, ()).rows == ()
+    m = F2Matrix(6, [0b110000, 0b011000, 0b101000])
+    assert m.rref() == F2Matrix(6, [0b101000, 0b011000])
 
 
 def test_f2matrix_inverse():

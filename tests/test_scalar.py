@@ -28,6 +28,20 @@ def test_square_free_split():
     assert square_free_split(49) == (7, 1)
 
 
+def test_square_free_split_large_radicands():
+    # 10^9 + 7 and 2^31 - 1, 2^31 - 19 are primes; the old p*p <= m
+    # loop ran to 10^9 on each of these.
+    assert square_free_split(2 * (10**9 + 7) ** 2) == (10**9 + 7, 2)
+    pq = (2**31 - 1) * (2**31 - 19)
+    assert square_free_split(pq) == (1, pq)
+    assert square_free_split(7**3 * pq) == (7, 7 * pq)
+    # 10^20 + 39 is prime and too large to trial-divide within the bound
+    with pytest.raises(ScalarContextError):
+        square_free_split(10**20 + 39)
+    with pytest.raises(ScalarContextError):
+        Scalar.parse("1+1*sqrt(100000000000000000039)")
+
+
 def test_canonicalization():
     assert Scalar(1, 3, 4) == Scalar(7)  # 1 + 3*sqrt(4) = 7
     assert Scalar(2, 5, 0) == Scalar(2)

@@ -204,6 +204,44 @@ def test_trigform_json_round_trip():
         assert again == form
 
 
+def _trig_json(**item):
+    term = {"idx": [1, 2], "freq": [0, 0, 0, 0, 0, 0], "c": "1/2+i*0"}
+    term.update(item)
+    return {"dim": 6, "degree": 2, "terms": [term]}
+
+
+def test_trigform_json_example():
+    form = TrigForm.from_json(_trig_json(tdeg=0))
+    assert form == TrigForm.from_kform(KForm(6, 2, [((1, 2), Fraction(1, 2))]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"c": "1/0+i*0"},
+        {"c": "0+i*3/0"},
+        {"c": 5},
+        {"idx": [1.7, 2]},
+        {"idx": [True, 2]},
+        {"idx": "12"},
+        {"freq": [0.5, 0, 0, 0, 0, 0]},
+        {"freq": ["1", 0, 0, 0, 0, 0]},
+        {"tdeg": 1.0},
+    ],
+)
+def test_trigform_json_rejects_malformed_term(bad):
+    with pytest.raises(ValueError):
+        TrigForm.from_json(_trig_json(**bad))
+
+
+@pytest.mark.parametrize("field,value", [("dim", 6.0), ("dim", "6"), ("degree", True)])
+def test_trigform_json_rejects_malformed_header(field, value):
+    obj = _trig_json()
+    obj[field] = value
+    with pytest.raises(ValueError):
+        TrigForm.from_json(obj)
+
+
 def test_cylinder_inputs_validated():
     rho = TrigForm.from_kform(RHO_MINUS)
     with pytest.raises(DimensionError):
