@@ -9,6 +9,7 @@ hyperplane, 5 enumeration refused, 6 plane not calibrated.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -43,6 +44,12 @@ EXIT_UNSUPPORTED = 3
 EXIT_NULL = 4
 EXIT_ENUM = 5
 EXIT_NOT_CALIBRATED = 6
+
+
+# Every count printed is bounded by its size estimate: 14000 bits are at
+# most 4215 decimal digits, inside the interpreter's 4300-digit limit for
+# converting an int to a string.
+MAX_COUNT_BITS = 14000
 
 
 class CliFailure(Exception):
@@ -153,8 +160,21 @@ def _cmd_extend_check(args):
     return [d1, d2], {"rho_orbit": cls.orbit.value, "admissible": verdict}
 
 
+def _bound_count(bits, what):
+    """Refuse a count whose estimated size exceeds MAX_COUNT_BITS."""
+    if bits > MAX_COUNT_BITS:
+        raise CliFailure(
+            EXIT_UNSUPPORTED,
+            f"{what} has about {round(bits)} bits, above the limit of {MAX_COUNT_BITS}",
+        )
+
+
 def _cmd_grassmann(args):
-    count = grassmann_count(args.q, args.n, args.k)
+    q, n, k = args.q, args.n, args.k
+    if q >= 2 and 0 <= k <= n:
+        # [n, k]_q < 4 q^(k(n-k)), so the estimate is good to 2 bits
+        _bound_count(k * (n - k) * math.log2(q), "the subspace count")
+    count = grassmann_count(q, n, k)
     verified = False
     if args.brute_force:
         if args.q != 2:
@@ -173,6 +193,8 @@ def _cmd_grassmann(args):
 
 
 def _cmd_torus_classes(args):
+    # 2^n classes of complex type and fewer than 4^(n-1) of split type
+    _bound_count(max(args.n, 2 * (args.n - 1)), "the class count")
     return [], {
         "n": args.n,
         "slc": count_slc_classes(args.n),

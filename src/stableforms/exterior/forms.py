@@ -10,6 +10,7 @@ from itertools import combinations
 
 from ..errors import DegenerateMetricError, DimensionError
 from . import linalg
+from ._minors import minor_sums
 from .scalar import Scalar
 
 MAX_DIM = 8
@@ -101,17 +102,15 @@ class KForm:
         return c if sgn > 0 else -c
 
     def evaluate(self, *vectors):
-        """Exact value on `degree` many vectors."""
+        """Exact value on `degree` many vectors: the one minor sum
+        Σ_I c_I det(V[I]) over the matrix V with the vectors as columns."""
         if len(vectors) != self.degree:
             raise DimensionError("wrong number of vectors")
         vecs = [linalg.coerce_vector(v) for v in vectors]
         if any(len(v) != self.dim for v in vecs):
             raise DimensionError("vector length does not match dimension")
-        total = Scalar(0)
-        for idx, c in self.terms.items():
-            minor = tuple(tuple(v[i - 1] for v in vecs) for i in idx)
-            total = total + c * linalg.det(minor)
-        return total
+        cols = tuple(range(1, self.degree + 1))
+        return minor_sums(self.terms, linalg.transpose(vecs), [cols])[0]
 
     # -- linear structure --------------------------------------------------
 
@@ -213,22 +212,15 @@ class KForm:
         return KForm(self.dim, self.degree - 1, out)
 
     def pullback(self, matrix):
-        """Pullback along the linear map with the given square matrix."""
+        """Pullback along the linear map with the given square matrix A:
+        the coefficient at J is the minor sum Σ_I c_I det(A[I][J])."""
         rows = getattr(matrix, "entries", matrix)
         rows = linalg.coerce_matrix(rows)
         if len(rows) != self.dim:
             raise DimensionError("matrix size does not match dimension")
-        out = {}
-        for big in combinations(range(1, self.dim + 1), self.degree):
-            total = Scalar(0)
-            for idx, c in self.terms.items():
-                minor = tuple(
-                    tuple(rows[i - 1][j - 1] for j in big) for i in idx
-                )
-                total = total + c * linalg.det(minor)
-            if total:
-                out[big] = total
-        return KForm(self.dim, self.degree, out)
+        cols = list(combinations(range(1, self.dim + 1), self.degree))
+        values = minor_sums(self.terms, rows, cols)
+        return KForm(self.dim, self.degree, {j: v for j, v in zip(cols, values) if v})
 
     # -- serialization ------------------------------------------------------
 
@@ -301,7 +293,8 @@ def hodge_star(g, vol, alpha):
     """Hodge dual: beta ^ star(alpha) = <beta, alpha> vol for all beta.
 
     The inner product on k-forms is the Gram determinant of the dual
-    (inverse) metric of g; vol must be a non-zero top form.
+    (inverse) metric of g, so <e_L, alpha> is the minor sum
+    Σ_I c_I det(g^-1[I][L]); vol must be a non-zero top form.
     """
     n = alpha.dim
     if getattr(g, "dim", None) != n or vol.dim != n:
@@ -315,16 +308,11 @@ def hodge_star(g, vol, alpha):
         ginv = linalg.inverse(linalg.coerce_matrix(g.entries))
     except ZeroDivisionError:
         raise DegenerateMetricError("metric is degenerate") from None
-    k = alpha.degree
-    out = {}
     full = range(1, n + 1)
-    for left in combinations(full, k):
-        pairing = Scalar(0)
-        for idx, c in alpha.terms.items():
-            minor = tuple(
-                tuple(ginv[i - 1][j - 1] for j in idx) for i in left
-            )
-            pairing = pairing + c * linalg.det(minor)
+    lefts = list(combinations(full, alpha.degree))
+    pairings = minor_sums(alpha.terms, linalg.transpose(ginv), lefts)
+    out = {}
+    for left, pairing in zip(lefts, pairings):
         if not pairing:
             continue
         right = tuple(i for i in full if i not in left)
@@ -333,4 +321,4 @@ def hodge_star(g, vol, alpha):
         if sgn < 0:
             c = -c
         out[right] = c
-    return KForm(n, n - k, out)
+    return KForm(n, n - alpha.degree, out)

@@ -33,12 +33,6 @@ def q_pochhammer(a, q, n):
     return out
 
 
-def _as_integer(x, what):
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to the non-integer {x}")
-    return x.numerator
-
-
 def projective_count(size, n):
     """Points of projective (n-1)-space over a field with `size` elements."""
     if size < 2 or n < 1:
@@ -48,29 +42,31 @@ def projective_count(size, n):
 
 
 def general_linear_count(size, n):
-    """Order of GL(n) over a field with `size` elements."""
+    """Order of GL(n) over a field with `size` elements:
+    q^(n(n-1)/2) * prod_{i=1..n} (q^i - 1) in integers."""
     if size < 2 or n < 1:
         raise ValueError("need a field size >= 2 and n >= 1")
-    inv = Fraction(1, size)
-    return _as_integer(
-        Fraction(size) ** (n * n) * q_pochhammer(inv, inv, n), "|GL|"
-    )
+    out = size ** (n * (n - 1) // 2)
+    for i in range(1, n + 1):
+        out *= size**i - 1
+    return out
 
 
 def grassmann_count(size, n, k):
     """Number of k-dimensional subspaces of an n-space over a field with
-    `size` elements, via the q-Pochhammer form of the Gaussian binomial."""
+    `size` elements: the Gaussian binomial
+    prod_{i<k} (q^(n-i) - 1) / prod_{i<k} (q^(i+1) - 1), as one integer
+    division at the end (k is replaced by min(k, n - k))."""
     if size < 2 or n < 0:
         raise ValueError("need a field size >= 2 and n >= 0")
     if not 0 <= k <= n:
         raise ValueError(f"subspace dimension {k} outside 0..{n}")
-    inv = Fraction(1, size)
-    value = (
-        Fraction(size) ** (k * (n - k))
-        * q_pochhammer(inv, inv, n)
-        / (q_pochhammer(inv, inv, k) * q_pochhammer(inv, inv, n - k))
-    )
-    return _as_integer(value, "|Gr|")
+    k = min(k, n - k)
+    num = den = 1
+    for i in range(k):
+        num *= size ** (n - i) - 1
+        den *= size ** (i + 1) - 1
+    return num // den
 
 
 def grassmann_enumerate(n, k):

@@ -10,9 +10,11 @@ oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.
 from itertools import combinations
 
 from ..errors import NotCalibratedError, OrbitError
-from ..exterior import KForm, Scalar, basis_vector, linalg, signature
+from ..exterior import KForm, Scalar, _minors, linalg, signature
 from .orbits import Orbit7, classify7
 from .planes import OrientedPlane
+
+_ZERO = Scalar(0)
 
 
 def _classified(phi, orbit, what):
@@ -28,9 +30,9 @@ def _classified(phi, orbit, what):
 def cross_product(phi, u, v):
     """Vector w with B(w, .) = phi(u, v, .) for the induced bilinear B."""
     cls = _classified(phi, Orbit7.G2, "cross_product")
-    u = linalg.coerce_vector(u)
-    v = linalg.coerce_vector(v)
-    rhs = [phi.evaluate(u, v, basis_vector(7, i)) for i in range(1, 8)]
+    # phi(u, v, e_i) is the i coefficient of v . (u . phi)
+    uv = phi.contract(u).contract(v).terms
+    rhs = [uv.get((i,), _ZERO) for i in range(1, 8)]
     return linalg.solve(cls.bilinear.entries, rhs)
 
 
@@ -44,7 +46,7 @@ def _calibration(phi, cls, plane):
     gram = cls.bilinear.restrict(plane.vectors)
     if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
         return None
-    if val ** 6 * linalg.det(cls.bilinear.entries) != linalg.det(gram.entries) ** 3:
+    if val ** 6 * _minors.det(cls.bilinear.entries) != _minors.det(gram.entries) ** 3:
         return None
     return val, gram
 
@@ -69,7 +71,7 @@ def calibrated_swap(phi, plane):
     C, which sends x to sum_k lambda_k(x) v_k for the rows lambda_k of
     Lambda = G^-1 V B (V: the basis as rows, G = V B V^T).  So phi|_C =
     phi(v1, v2, v3) lambda_1 ^ lambda_2 ^ lambda_3, whose coefficients
-    are the 35 3x3 minors of Lambda."""
+    are the 35 3x3 minors of Lambda, taken as one minor sum."""
     cls = classify7(phi)
     if cls.orbit is Orbit7.NON_STABLE or not cls.standard_orientation:
         raise OrbitError(f"swap needs a stable standard-orientation form, got {cls.orbit.value}")
@@ -81,12 +83,9 @@ def calibrated_swap(phi, plane):
     lam = linalg.mat_mul(
         linalg.mat_mul(linalg.inverse(gram.entries), plane.vectors), cls.bilinear.entries
     )
-    twice = val * Scalar(2)
-    restricted = {
-        idx: twice * linalg.det(tuple(tuple(row[i - 1] for i in idx) for row in lam))
-        for idx in combinations(range(1, 8), 3)
-    }
-    return KForm(7, 3, restricted) - phi
+    cols = list(combinations(range(1, 8), 3))
+    minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2)}, lam, cols)
+    return KForm(7, 3, {idx: c for idx, c in zip(cols, minors) if c}) - phi
 
 
 def plane_from_cross(phi, u, v):

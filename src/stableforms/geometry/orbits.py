@@ -12,21 +12,20 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Optional
 
-from ..errors import DimensionError, OrbitError, ScalarContextError
+from ..errors import DimensionError, OrbitError
 from ..exterior import (
     Endo,
     KForm,
     Scalar,
     Signature,
     SymBilinear,
-    basis_vector,
     linalg,
     signature,
     top_coefficient,
 )
+from ..exterior._minors import read_off, to_scalar
 from ..exterior.forms import sort_signed
 from .planes import OrientedPlane
 
@@ -66,10 +65,13 @@ def _require(form, dim, degree, what):
         )
 
 
-# Index tables of the closed form in induced_bilinear's docstring.
+# Index tables of the closed forms in the docstrings of induced_bilinear
+# and hitchin_endomorphism.
 _PAIRS = tuple(combinations(range(1, 8), 2))
 _TRIPLES = tuple(combinations(range(1, 8), 3))
 _UPPER = tuple((i, j) for j in range(7) for i in range(j + 1))
+_TRIPLES6 = tuple(combinations(range(1, 7), 3))
+_ZERO = Scalar(0)
 
 
 def _partition_tables():
@@ -129,30 +131,21 @@ def induced_bilinear(phi):
     the 21 2-sets A = {a, b} and M[A][B] = sign(A, B, C') phi_C' over
     the 210 partitions of {1..7} into 2-sets A, B and the 3-set C'.
 
-    The coefficients are brought to one denominator L, the lcm of the
-    denominators of all their rational and radical parts, so that
-    phi = (X + sqrt(d) Y) / L with integer coefficient vectors X, Y and
-    the form's single radicand d.  The cubic K = C M C^T is taken in
-    Python ints and B = (R + sqrt(d) S) / (6 L^3).  Writing K(sX + tY) =
+    The coefficients are read off (`exterior._minors.read_off`) over one
+    denominator L, the lcm of the denominators of all their rational and
+    radical parts, so that phi = (X + sqrt(d) Y) / L with integer
+    coefficient vectors X, Y and the form's single radicand d.  The
+    cubic K = C M C^T is taken in Python ints and
+    B = (R + sqrt(d) S) / (6 L^3).  Writing K(sX + tY) =
     c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3, R = c0 + d c2 and
     S = c1 + d c3, read off from K(X), K(Y), K(X + Y) and K(X - Y).
     A form carrying two different radicands raises ScalarContextError.
     """
     _require(phi, 7, 3, "induced_bilinear")
-    terms = phi.terms
-    radicands = sorted({c.d for c in terms.values() if c.d})
-    if len(radicands) > 1:
-        raise ScalarContextError(
-            f"mixed radicands sqrt({radicands[0]}) and sqrt({radicands[1]})"
-        )
-    d = radicands[0] if radicands else 0
-    den = lcm(*(q.denominator for c in terms.values() for q in (c.a, c.b)))
-    coeffs = [terms.get(t) for t in _TRIPLES]
-    x = [c.a.numerator * (den // c.a.denominator) if c else 0 for c in coeffs]
+    x, y, d, den = read_off([phi.terms.get(t, _ZERO) for t in _TRIPLES])
     rat = _table_product(x)
     rad = [0] * len(_UPPER)
     if d:
-        y = [c.b.numerator * (den // c.b.denominator) if c else 0 for c in coeffs]
         c0 = rat
         c3 = _table_product(y)
         plus = _table_product([u + v for u, v in zip(x, y)])
@@ -164,7 +157,7 @@ def induced_bilinear(phi):
     scale = 6 * den ** 3
     rows = [[None] * 7 for _ in range(7)]
     for (i, j), r, s in zip(_UPPER, rat, rad):
-        rows[i][j] = rows[j][i] = Scalar(Fraction(r, scale), Fraction(s, scale), d)
+        rows[i][j] = rows[j][i] = to_scalar(r, s, d, scale)
     return SymBilinear(7, rows)
 
 
@@ -184,28 +177,66 @@ def classify7(phi):
     return Class7(Orbit7.NON_STABLE, None, sig, b)
 
 
+def _hitchin_table():
+    """Row j, column i of the table: the (A, B, sign) with A = {i} + a and
+    B the rest of the 5-set {1..6} - {j} after the 2-set a, so that
+    K_ji = sum of sign * rho_A * rho_B; 240 products in all."""
+    at = {t: n for n, t in enumerate(_TRIPLES6)}
+    full = range(1, 7)
+    table = []
+    for j in full:
+        five = tuple(k for k in full if k != j)
+        sign_j = 1 if j & 1 else -1  # e_j . vol = (-1)^(j-1) * e_five
+        row = []
+        for i in full:
+            entry = []
+            for a in combinations(five, 2):
+                if i in a:
+                    continue
+                t, s_contract = sort_signed((i,) + a)
+                b = tuple(k for k in five if k not in a)
+                s_wedge = sort_signed(a + b)[1]
+                entry.append((at[t], at[b], sign_j * s_contract * s_wedge))
+            row.append(tuple(entry))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_HITCHIN = _hitchin_table()
+
+
 def hitchin_endomorphism(rho):
-    """K with K(u) ^ vol = (u . rho) ^ rho under the reference volume."""
+    """K with K(u) ^ vol = (u . rho) ^ rho under the reference volume.
+
+    K_ji is (-1)^(j-1) times the coefficient of (e_i . rho) ^ rho at the
+    5-set missing j, read from a table of (A, B, sign) products of two
+    coefficients of rho.  The products are taken in the integer read-off
+    rho = (X + sqrt(d) Y) / L, so K = (R + sqrt(d) S) / L^2 with
+    R = sum sign (X_A X_B + d Y_A Y_B) and S = sum sign (X_A Y_B + Y_A X_B).
+    A form carrying two different radicands raises ScalarContextError."""
     _require(rho, 6, 3, "hitchin_endomorphism")
-    full = tuple(range(1, 7))
-    cols = []
-    for i in range(1, 7):
-        five = rho.contract(basis_vector(6, i)).wedge(rho)
-        col = []
-        for j in range(1, 7):
-            rest = full[: j - 1] + full[j:]
-            c = five.coefficient(rest)
-            if not (j & 1):
-                c = -c  # e_j . vol = (-1)^(j-1) * complementary 5-form
-            col.append(c)
-        cols.append(col)
-    return Endo.from_columns(cols)
+    x, y, d, den = read_off([rho.terms.get(t, _ZERO) for t in _TRIPLES6])
+    scale = den * den
+    rows = []
+    for table_row in _HITCHIN:
+        row = []
+        for entry in table_row:
+            rat = sum(s * x[a] * x[b] for a, b, s in entry)
+            rad = 0
+            if d:
+                rat += d * sum(s * y[a] * y[b] for a, b, s in entry)
+                rad = sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in entry)
+            row.append(to_scalar(rat, rad, d, scale))
+        rows.append(row)
+    return Endo(6, rows)
 
 
 def hitchin_invariant(rho, endo=None):
-    """The quartic invariant: trace(K^2)/6; K^2 equals this multiple of Id."""
-    k = hitchin_endomorphism(rho) if endo is None else endo
-    return k.compose(k).trace() / Scalar(6)
+    """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
+    equals this multiple of Id."""
+    k = (hitchin_endomorphism(rho) if endo is None else endo).entries
+    trace = sum((k[i][j] * k[j][i] for i in range(6) for j in range(6)), _ZERO)
+    return trace / Scalar(6)
 
 
 def classify6(rho):
@@ -264,25 +295,21 @@ def hitchin_dual(rho):
     jhat = _normalized_endo(cls, flip=False)
     terms = {}
     for i in range(1, 7):
-        ji = jhat.column(i - 1)
-        for j in range(i + 1, 7):
-            for k in range(j + 1, 7):
-                val = rho.evaluate(ji, basis_vector(6, j), basis_vector(6, k))
-                if val:
-                    terms[(i, j, k)] = val
+        # rho(J e_i, e_j, e_k) is the (j, k) coefficient of (J e_i) . rho
+        for (j, k), val in rho.contract(jhat.column(i - 1)).terms.items():
+            if j > i:
+                terms[(i, j, k)] = val
     return KForm(6, 3, terms)
 
 
 def _symmetrized(omega, endo, factor):
-    rows = [[Scalar(0)] * 6 for _ in range(6)]
-    cols = [endo.column(i) for i in range(6)]
-    basis = [basis_vector(6, i) for i in range(1, 7)]
+    """[omega(K e_i, e_j) + omega(K e_j, e_i)] * factor, reading
+    omega(K e_i, e_j) as the j coefficient of (K e_i) . omega."""
+    rows = [[_ZERO] * 6 for _ in range(6)]
+    cons = [omega.contract(endo.column(i)).terms for i in range(6)]
     for i in range(6):
         for j in range(i, 6):
-            val = (
-                omega.evaluate(cols[i], basis[j])
-                + omega.evaluate(cols[j], basis[i])
-            ) * factor
+            val = (cons[i].get((j + 1,), _ZERO) + cons[j].get((i + 1,), _ZERO)) * factor
             rows[i][j] = val
             rows[j][i] = val
     return SymBilinear(6, rows)

@@ -8,8 +8,10 @@ code paths, so oracle agreement is meaningful.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from stableforms import KForm, Scalar
+from stableforms import Endo, KForm, Scalar, top_coefficient
 from stableforms.exterior import linalg
+from stableforms.exterior.forms import merge_signed
+from stableforms.f2 import q_pochhammer
 
 
 def perm_sign(perm):
@@ -108,6 +110,108 @@ def naive_induced_bilinear(phi):
             rows[i][j] = c
             rows[j][i] = c
     return rows
+
+
+# -- the per-minor loops the minor-sum kernel replaced, kept verbatim -------
+# Each sums c_I * linalg.det(minor) over Scalars, one determinant per term.
+
+
+def loop_evaluate(form, *vectors):
+    """KForm.evaluate as a loop of Scalar determinants."""
+    vecs = [linalg.coerce_vector(v) for v in vectors]
+    total = Scalar(0)
+    for idx, c in form.terms.items():
+        minor = tuple(tuple(v[i - 1] for v in vecs) for i in idx)
+        total = total + c * linalg.det(minor)
+    return total
+
+
+def loop_pullback(form, matrix):
+    """KForm.pullback as a loop of Scalar determinants."""
+    rows = getattr(matrix, "entries", matrix)
+    rows = linalg.coerce_matrix(rows)
+    out = {}
+    for big in combinations(range(1, form.dim + 1), form.degree):
+        total = Scalar(0)
+        for idx, c in form.terms.items():
+            minor = tuple(
+                tuple(rows[i - 1][j - 1] for j in big) for i in idx
+            )
+            total = total + c * linalg.det(minor)
+        if total:
+            out[big] = total
+    return KForm(form.dim, form.degree, out)
+
+
+def loop_hodge_star(g, vol, alpha):
+    """hodge_star as a loop of Gram determinants of the inverse metric."""
+    n = alpha.dim
+    scale = top_coefficient(vol)
+    ginv = linalg.inverse(linalg.coerce_matrix(g.entries))
+    k = alpha.degree
+    out = {}
+    full = range(1, n + 1)
+    for left in combinations(full, k):
+        pairing = Scalar(0)
+        for idx, c in alpha.terms.items():
+            minor = tuple(
+                tuple(ginv[i - 1][j - 1] for j in idx) for i in left
+            )
+            pairing = pairing + c * linalg.det(minor)
+        if not pairing:
+            continue
+        right = tuple(i for i in full if i not in left)
+        _, sgn = merge_signed(left, right)
+        c = pairing * scale
+        if sgn < 0:
+            c = -c
+        out[right] = c
+    return KForm(n, n - k, out)
+
+
+def wedge_hitchin_endomorphism(rho):
+    """hitchin_endomorphism from 6 contractions and 6 generic wedges."""
+    full = tuple(range(1, 7))
+    cols = []
+    for i in range(1, 7):
+        five = rho.contract(_basis(6, i)).wedge(rho)
+        col = []
+        for j in range(1, 7):
+            rest = full[: j - 1] + full[j:]
+            c = five.coefficient(rest)
+            if not (j & 1):
+                c = -c  # e_j . vol = (-1)^(j-1) * complementary 5-form
+            col.append(c)
+        cols.append(col)
+    return Endo.from_columns(cols)
+
+
+# -- the Fraction q-Pochhammer counts the integer products replaced, verbatim
+
+
+def _as_integer(x, what):
+    if x.denominator != 1:
+        raise ArithmeticError(f"{what} evaluated to the non-integer {x}")
+    return x.numerator
+
+
+def pochhammer_general_linear_count(size, n):
+    """Order of GL(n) over a field with `size` elements."""
+    inv = Fraction(1, size)
+    return _as_integer(
+        Fraction(size) ** (n * n) * q_pochhammer(inv, inv, n), "|GL|"
+    )
+
+
+def pochhammer_grassmann_count(size, n, k):
+    """Gaussian binomial via the q-Pochhammer form."""
+    inv = Fraction(1, size)
+    value = (
+        Fraction(size) ** (k * (n - k))
+        * q_pochhammer(inv, inv, n)
+        / (q_pochhammer(inv, inv, k) * q_pochhammer(inv, inv, n - k))
+    )
+    return _as_integer(value, "|Gr|")
 
 
 # -- GF(2) references --------------------------------------------------------

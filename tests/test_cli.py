@@ -3,12 +3,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import stableforms
+from stableforms import Scalar
 from stableforms.cli import main
+from stableforms.f2 import grassmann_count
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -132,6 +135,50 @@ def test_classify_mixed_radicands_exits_3(tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def assert_one_error_exit_3(code, out, err):
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_classify_mixed_radicand_6form_exits_3(tmp_path, capsys):
+    # the Hitchin endomorphism reads one radicand off the whole form
+    terms = stableforms.standard_form("sl3c").to_json()["terms"]
+    terms[0]["c"] = "1+1*sqrt(2)"
+    terms[-1]["c"] = "1*sqrt(3)"
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dim": 6, "degree": 3, "terms": terms}))
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+    assert "mixed radicands" in captured.err
+    code = main(["extend-check", str(path), fx("omega_cplx_good.json")])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+    assert "mixed radicands" in captured.err
+
+
+def test_extend_check_radicand_per_form_mixed_exits_3(tmp_path, capsys):
+    # rho over Q(sqrt(2)) and omega over Q(sqrt(3)): each form alone has
+    # one radicand, the pair has two
+    # rho = A* sl3c with det A = sqrt(2), so its invariant stays rational
+    scale = [[Scalar(0, 1, 2) if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
+    rho = stableforms.standard_form("sl3c").pullback(scale).to_json()
+    omega = json.loads((FIXTURES / "omega_cplx_good.json").read_text())
+    omega["terms"][0]["c"] = "1*sqrt(3)"
+    rho_path, omega_path = tmp_path / "rho.json", tmp_path / "omega.json"
+    rho_path.write_text(json.dumps(rho))
+    omega_path.write_text(json.dumps(omega))
+    code = main(["classify", str(rho_path)])
+    assert code == 0
+    capsys.readouterr()
+    code = main(["extend-check", str(rho_path), str(omega_path)])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+    assert "mixed radicands" in captured.err
 
 
 def test_classify_unfactorable_radicand_exits_3(tmp_path, capsys):
@@ -296,6 +343,42 @@ def test_grassmann_oversize_exits_5(capsys):
         capsys, "grassmann", "--q", "2", "--n", "15", "--k", "2", "--brute-force"
     )
     assert code == 5
+
+
+def test_grassmann_too_large_exits_3(capsys):
+    # 2^250000 subspaces: refused from k(n-k) log2 q before computing
+    code = main(["grassmann", "--q", "2", "--n", "1000", "--k", "500"])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+    code = main(["grassmann", "--q", "3", "--n", "1000000", "--k", "500000"])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+
+
+def test_grassmann_at_size_limit_prints(capsys):
+    # k(n-k) log2 q = 14000 bits, the largest estimate that is printed
+    code, payload, _ = run_cli(capsys, "grassmann", "--q", "2", "--n", "240", "--k", "100")
+    assert code == 0
+    count = payload["result"]["count"]
+    assert count == grassmann_count(2, 240, 100)
+    assert len(str(count)) < 4300
+    code = main(["grassmann", "--q", "2", "--n", "241", "--k", "100"])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
+
+
+def test_torus_classes_large_n(capsys):
+    start = time.perf_counter()
+    code, payload, _ = run_cli(capsys, "torus-classes", "--n", "2000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["result"]["slc"] == 2**2000
+    assert payload["result"]["extendible_slr"] == grassmann_count(2, 2000, 2) + 1
+    code, payload, _ = run_cli(capsys, "torus-classes", "--n", "7001")
+    assert code == 0
+    code = main(["torus-classes", "--n", "7002"])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
 
 
 def test_torus_classes(capsys):

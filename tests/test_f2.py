@@ -31,6 +31,8 @@ from oracles import (
     bitscan_count_decomposable_nonzero,
     f2_rref,
     mask_enumerate_rref,
+    pochhammer_general_linear_count,
+    pochhammer_grassmann_count,
 )
 
 
@@ -165,6 +167,14 @@ def test_grassmann_counts():
     assert grassmann_count(2, 4, 2) == 35
     with pytest.raises(ValueError):
         grassmann_count(2, 4, 5)
+
+
+def test_integer_counts_match_pochhammer():
+    for size, n, k in [(2, 6, 2), (3, 6, 3), (2, 200, 2), (3, 200, 100), (2, 700, 2), (3, 700, 350)]:
+        assert grassmann_count(size, n, k) == pochhammer_grassmann_count(size, n, k)
+    for size in (2, 3, 4, 5, 7):
+        for n in (1, 2, 3, 6, 40):
+            assert general_linear_count(size, n) == pochhammer_general_linear_count(size, n)
 
 
 def test_grassmann_duality():

@@ -1,0 +1,229 @@
+"""The integer minor-sum kernel behind KForm.evaluate, KForm.pullback,
+hodge_star and calibrated_swap, and the table-built Hitchin
+endomorphism: exact equality with the per-minor Scalar loops and the
+contract-and-wedge construction they replaced."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from oracles import (
+    loop_evaluate,
+    loop_hodge_star,
+    loop_pullback,
+    rand_glplus,
+    rand_kform,
+    rand_vector,
+    wedge_hitchin_endomorphism,
+)
+from stableforms import (
+    KForm,
+    Scalar,
+    ScalarContextError,
+    SymBilinear,
+    calibrated_swap,
+    hitchin_endomorphism,
+    hodge_star,
+    standard_form,
+)
+from stableforms.exterior import linalg
+from stableforms.exterior._minors import read_off
+from stableforms.geometry.planes import OrientedPlane
+
+RADICANDS = (0, 2, 3, 5)
+
+
+def number(rng, d):
+    """A random fraction, plus a random multiple of sqrt(d) when d > 0."""
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    b = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if d else 0
+    return Scalar(a, b, d)
+
+
+def glplus(rng, n, d):
+    """GL+ matrix with entries in [-2, 2], one shifted by sqrt(d) if d > 0."""
+    while True:
+        m = [list(row) for row in rand_glplus(rng, n)]
+        if d:
+            m[rng.randrange(n)][rng.randrange(n)] += Scalar(0, 1, d)
+        if linalg.det(m).sign() > 0:
+            return m
+
+
+def dense_form(rng, n, k, d):
+    return KForm(n, k, {idx: number(rng, d) for idx in combinations(range(1, n + 1), k)})
+
+
+def fractional(rng, form, d):
+    """The form with each coefficient divided by a random integer and, when
+    d > 0, shifted by a random multiple of sqrt(d)."""
+    return KForm(
+        form.dim,
+        form.degree,
+        {idx: c * Scalar(Fraction(1, rng.randint(1, 9))) + number(rng, d) for idx, c in form.terms.items()},
+    )
+
+
+def metric(rng, n, d):
+    """A non-degenerate symmetric form A^T D A + sqrt(d) e1 e1 with D
+    diagonal and A in GL+, both over the integers."""
+    while True:
+        g = SymBilinear.diagonal([rng.choice((-2, -1, 1, 3)) for _ in range(n)])
+        if n > 1:
+            g = g.transform(glplus(rng, n, 0))
+        rows = [list(row) for row in g.entries]
+        rows[0][0] += Scalar(0, 1, d)
+        if linalg.det(rows):
+            return SymBilinear(n, rows)
+
+
+def check_all(form, matrix, vectors, g=None, vol=None):
+    assert form.pullback(matrix) == loop_pullback(form, matrix)
+    assert form.evaluate(*vectors) == loop_evaluate(form, *vectors)
+    if g is not None:
+        assert hodge_star(g, vol, form) == loop_hodge_star(g, vol, form)
+
+
+def test_read_off_is_exact():
+    rng = random.Random(60)
+    for d in RADICANDS:
+        values = [number(rng, d) for _ in range(20)] + [Scalar(0)]
+        x, y, dd, den = read_off(values)
+        assert dd == (d if any(v.d for v in values) else 0)
+        for i, v in enumerate(values):
+            rad = y[i] if dd else 0
+            assert v == Scalar(Fraction(x[i], den), Fraction(rad, den), dd)
+    assert read_off([]) == ([], None, 0, 1)
+
+
+def test_dense_pullbacks_match_loops():
+    rng = random.Random(61)
+    for i, d in enumerate(RADICANDS):
+        for name in (("g2", "split_g2")[i & 1], ("sl3c", "sl3r2")[i >> 1]):
+            model = standard_form(name)
+            n = model.dim
+            a = glplus(rng, n, d)
+            assert model.pullback(a) == loop_pullback(model, a)
+            form = loop_pullback(model, a)
+            vectors = [[number(rng, d) for _ in range(n)] for _ in range(3)]
+            g = metric(rng, n, d) if n == 7 else None
+            check_all(form, glplus(rng, n, d), vectors, g, KForm.basis(n, tuple(range(1, n + 1))))
+
+
+def test_fractional_and_sparse_forms_match_loops():
+    rng = random.Random(62)
+    for d in RADICANDS:
+        g = metric(rng, 7, d)
+        vol = KForm.basis(7, tuple(range(1, 8)), number(rng, 0) or 1)
+        for k in range(1, 8):
+            form = rand_kform(rng, 7, k)
+            if k & 1:
+                form = fractional(rng, rand_kform(rng, 7, k, max_terms=8), d)
+            matrix = [[number(rng, d) for _ in range(7)] for _ in range(7)]
+            vectors = [[number(rng, d) for _ in range(7)] for _ in range(k)]
+            check_all(form, matrix, vectors, g, vol)
+
+
+def test_every_degree_in_every_dimension_matches_loops():
+    rng = random.Random(63)
+    for n in range(1, 9):
+        d = RADICANDS[n % 4]
+        g = metric(rng, n, d)
+        vol = KForm.basis(n, tuple(range(1, n + 1)), 2)
+        for k in range(n + 1):
+            form = fractional(rng, rand_kform(rng, n, k), d)
+            matrix = [[number(rng, d) for _ in range(n)] for _ in range(n)]
+            vectors = [rand_vector(rng, n) for _ in range(k)]
+            check_all(form, matrix, vectors, g, vol)
+            check_all(KForm.zero(n, k), matrix, vectors)
+            if n <= 5:
+                check_all(dense_form(rng, n, k, d), matrix, vectors)
+
+
+def test_degree_zero_forms():
+    one = KForm(5, 0, {(): 1})
+    g = SymBilinear.diagonal([1, 2, 3, 4, 5])
+    vol = KForm.basis(5, (1, 2, 3, 4, 5), 3)
+    assert one.evaluate() == Scalar(1)
+    assert KForm.zero(5, 0).evaluate() == Scalar(0)
+    assert one.pullback([[0] * 5] * 5) == one
+    assert hodge_star(g, vol, one) == loop_hodge_star(g, vol, one)
+    assert hodge_star(g, vol, one) == vol
+    assert hodge_star(g, vol, vol) == loop_hodge_star(g, vol, vol)
+
+
+def test_hitchin_endomorphism_matches_wedges():
+    rng = random.Random(64)
+    for d in RADICANDS:
+        for name in ("sl3c", "sl3r2"):
+            rho = standard_form(name).pullback(glplus(rng, 6, d))
+            assert hitchin_endomorphism(rho) == wedge_hitchin_endomorphism(rho)
+        for _ in range(3):
+            rho = dense_form(rng, 6, 3, d)
+            assert hitchin_endomorphism(rho) == wedge_hitchin_endomorphism(rho)
+        rho = fractional(rng, rand_kform(rng, 6, 3), d)
+        assert hitchin_endomorphism(rho) == wedge_hitchin_endomorphism(rho)
+    zero = KForm.zero(6, 3)
+    assert hitchin_endomorphism(zero) == wedge_hitchin_endomorphism(zero)
+
+
+# -- one radicand per computation --------------------------------------------
+
+
+def test_mixed_radicand_pullback_raises():
+    rng = random.Random(65)
+    form = standard_form("g2").pullback(glplus(rng, 7, 2))
+    assert any(c.d == 2 for c in form.terms.values())
+    matrix = glplus(rng, 7, 3)
+    with pytest.raises(ScalarContextError):
+        loop_pullback(form, matrix)
+    with pytest.raises(ScalarContextError):
+        form.pullback(matrix)
+    vectors = [[Scalar(0, 1, 3)] * 7, rand_vector(rng, 7), rand_vector(rng, 7)]
+    with pytest.raises(ScalarContextError):
+        form.evaluate(*vectors)
+    g = SymBilinear.diagonal([Scalar(1, 1, 3)] + [1] * 6)
+    with pytest.raises(ScalarContextError):
+        hodge_star(g, KForm.basis(7, tuple(range(1, 8))), form)
+
+
+def test_mixed_radicand_hitchin_endomorphism_raises():
+    rho = standard_form("sl3c")
+    terms = dict(rho.terms)
+    first, last = sorted(terms)[0], sorted(terms)[-1]
+    terms[first] = Scalar(1, 1, 2)
+    terms[last] = Scalar(0, 1, 3)
+    with pytest.raises(ScalarContextError):
+        wedge_hitchin_endomorphism(KForm(6, 3, terms))
+    with pytest.raises(ScalarContextError):
+        hitchin_endomorphism(KForm(6, 3, terms))
+
+
+# -- no per-minor determinants -------------------------------------------------
+
+
+def test_minor_loops_call_no_det(monkeypatch):
+    rng = random.Random(66)
+    a = glplus(rng, 7, 0)
+    phi = standard_form("g2").pullback(a)
+    # A^-1 e1, A^-1 e2, A^-1 e3 carry A*phi to phi(e1, e2, e3): calibrated
+    plane = OrientedPlane(7, linalg.transpose(linalg.inverse(a))[:3])
+    g = metric(rng, 7, 0)
+    vol = KForm.basis(7, tuple(range(1, 8)))
+    b = glplus(rng, 7, 0)
+    vectors = [rand_vector(rng, 7) for _ in range(3)]
+    calls = []
+    original = linalg.det
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "det", counted)
+    phi.pullback(b)
+    phi.evaluate(*vectors)
+    hodge_star(g, vol, phi)
+    calibrated_swap(phi, plane)
+    assert calls == []
