@@ -23,6 +23,7 @@ from .errors import (
     ScalarContextError,
 )
 from .exterior import KForm, Scalar
+from .exterior.scalar import _PLAIN as _RATIONAL
 from .f2 import (
     count_extendible_slr_classes,
     count_slc_classes,
@@ -80,8 +81,12 @@ def _parse_vector(text, length, what):
             EXIT_PARSE, f"{what} needs {length} comma-separated rationals"
         )
     try:
-        return tuple(Scalar(Fraction(p.strip())) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        # p or p/q only: Fraction alone also takes exponents, and
+        # "1e1000000" would be a million-digit integer
+        if not all(_RATIONAL.fullmatch(p.strip()) for p in parts):
+            raise ValueError("entries must be rationals p or p/q")
+        return tuple(Scalar(Fraction(p)) for p in parts)
+    except ValueError as exc:  # also an integer of more than 4300 digits
         raise CliFailure(EXIT_PARSE, f"malformed {what}: {exc}") from exc
 
 

@@ -1,11 +1,12 @@
 """The one kernel behind every multilinear evaluation: sums of minors
-Σ_I c_I det(M[I][J]) taken in Python ints.
+Σ_I c_I det(M[I][J]) taken in Python ints.  `linalg.det` is its minor
+sum of the top-degree form.
 
 Scalars enter through `read_off`: a list of values v_i becomes integer
 vectors X, Y over one common denominator L with v_i = (X_i + Y_i sqrt(d)) / L
 for the single radicand d of the list.  Over Q(sqrt(d)) the minors are
 taken in int pairs (p, q) standing for p + q sqrt(d).  Only the results
-become Scalars again.
+become Scalars again.  `bilinear.signature` works on the same read-off.
 """
 
 from fractions import Fraction
@@ -166,9 +167,3 @@ def minor_sums(terms, matrix, cols):
         out.append(to_scalar(rat, rad, d, den))
     return out
 
-
-def det(matrix):
-    """Determinant of a square Scalar matrix: the one minor sum of the
-    top-degree form."""
-    full = tuple(range(1, len(matrix) + 1))
-    return minor_sums({full: Scalar(1)}, matrix, [full])[0]

@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 from ..errors import DimensionError
 from . import linalg
+from ._minors import read_off, to_scalar
 from .scalar import Scalar
 
 
@@ -131,55 +132,48 @@ class Endo:
         return f"Endo({self.entries!r})"
 
 
-def _sym_eliminate(m, n, k, src, f):
-    """Congruence step v_k := v_k - f*v_src applied to the matrix m in place."""
-    old_src_k = m[src][k]
-    for l in range(n):
-        if l == k:
-            continue
-        m[k][l] = m[k][l] - f * m[src][l]
-        m[l][k] = m[k][l]
-    m[k][k] = m[k][k] - 2 * f * old_src_k + f * f * m[src][src]
-
-
 def signature(b):
     """Exact (pos, neg, null) of a symmetric bilinear form.
 
-    Symmetric elimination on diagonal pivots; when the live diagonal is
-    all zero, a non-zero off-diagonal entry contributes a hyperbolic
-    (1, 1) block.
+    The signs of the coefficients of det(tI - B) = t^n + c_1 t^(n-1) + ...
+    + c_n, by Faddeev-LeVerrier on the integer read-off A = L*B (L > 0
+    keeps every sign): M_0 = I, c_k = -tr(A M_(k-1)) / k and
+    M_k = A M_(k-1) + c_k I.  Over Q(sqrt(d)), A = X + sqrt(d) Y acts on
+    M = M0 + sqrt(d) M1 as the int block matrix [[X, dY], [Y, X]] on M0
+    stacked over M1.  Each c_k lies in Z or Z[sqrt(d)], so every division
+    by k is exact.  B is symmetric, so all roots are real and Descartes'
+    rule of signs counts the positive ones exactly: pos is the number of
+    sign changes of (1, c_1, ..., c_n) and the rank the index of the last
+    non-zero c_k.  The entries must share one radicand, else
+    ScalarContextError.
     """
     n = b.dim
-    m = [[x for x in row] for row in b.entries]
-    alive = list(range(n))
-    pos = neg = 0
-    while alive:
-        piv = next((i for i in alive if m[i][i]), None)
-        if piv is not None:
-            pc = m[piv][piv]
-            if pc.sign() > 0:
-                pos += 1
-            else:
-                neg += 1
-            alive.remove(piv)
-            for j in alive:
-                if m[j][piv]:
-                    _sym_eliminate(m, n, j, piv, m[j][piv] / pc)
-            continue
-        pair = next(
-            ((i, j) for i in alive for j in alive if i < j and m[i][j]), None
-        )
-        if pair is None:
-            break
-        i, j = pair
-        pw = m[i][j]
-        pos += 1
-        neg += 1
-        alive.remove(i)
-        alive.remove(j)
-        for k in alive:
-            if m[k][j]:
-                _sym_eliminate(m, n, k, i, m[k][j] / pw)
-            if m[k][i]:
-                _sym_eliminate(m, n, k, j, m[k][i] / pw)
-    return Signature(pos, neg, n - pos - neg)
+    x, y, d, _ = read_off([e for row in b.entries for e in row])
+    blocks = [[x]] if y is None else [[x, [d * v for v in y]], [y, x]]
+    h = len(blocks)
+    # sparse rows (column, entry) of the h x h block matrix
+    a = [
+        [(q * n + j, u) for q, blk in enumerate(band) for j, u in enumerate(blk[i * n : i * n + n]) if u]
+        for band in blocks
+        for i in range(n)
+    ]
+    m = [[int(i == j) for j in range(n)] for i in range(h * n)]  # I over 0
+    signs = []
+    for k in range(1, n + 1):
+        c = [-sum(u * m[j][i] for i in range(n) for j, u in a[q * n + i]) // k for q in range(h)]
+        signs.append(to_scalar(c[0], c[-1] if d else 0, d, 1).sign())
+        if k < n:
+            p = []
+            for row in a:
+                r = [0] * n
+                for j, u in row:
+                    r = [e + u * t for e, t in zip(r, m[j])]
+                p.append(r)
+            for q in range(h):
+                for i in range(n):
+                    p[q * n + i][i] += c[q]
+            m = p
+    rank = max((k for k, s in enumerate(signs, 1) if s), default=0)
+    nonzero = [1] + [s for s in signs if s]
+    pos = sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+    return Signature(pos, rank - pos, n - rank)

@@ -1,9 +1,12 @@
 """Dense exact linear algebra over Scalar entries.
 
-Matrices are tuples of row tuples.  Dimensions stay tiny (at most 8),
-so plain Gaussian elimination with exact division is the right tool.
+Matrices are tuples of row tuples.  Dimensions stay tiny (at most 8).
+`det` is the top-degree minor sum of the integer kernel in `_minors`;
+`rref` is the one Gaussian elimination, with exact division, behind
+`rank`, `kernel`, `inverse` and `solve`.
 """
 
+from ._minors import minor_sums
 from .scalar import Scalar
 
 _ZERO = Scalar(0)
@@ -45,35 +48,12 @@ def mat_mul(a, b):
 
 
 def det(m):
-    n = len(m)
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    rows = [list(r) for r in m]
-    out = _ONE
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return _ZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            out = -out
-        pv = rows[c][c]
-        out = out * pv
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return out
+    """Determinant of a square Scalar matrix: the one minor sum of the
+    top-degree form, taken in ints by `_minors.minor_sums` (1 for the
+    0 x 0 matrix).  Entries must share one radicand, else
+    ScalarContextError."""
+    full = tuple(range(1, len(m) + 1))
+    return minor_sums({full: _ONE}, m, [full])[0]
 
 
 def rref(m):

@@ -18,6 +18,9 @@ _ZERO = Fraction(0)
 
 # Trial division stops here; past it a radicand is refused, not factored.
 _TRIAL_LIMIT = 1 << 21
+# Each trial division costs time in proportion to the radicand's length,
+# so a longer radicand that is not a perfect square is refused up front.
+_MAX_RADICAND_BITS = 2048
 
 
 def square_free_split(n):
@@ -27,12 +30,18 @@ def square_free_split(n):
     has no prime factor below p and is below p**3, so it is 1, a prime,
     a product of two distinct primes or a prime square, and one isqrt
     tells them apart.  A radicand that still has p**3 <= m once p passes
-    2**21 raises ScalarContextError.
+    2**21, or that is longer than 2048 bits and not a perfect square,
+    raises ScalarContextError.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 0
+    if n.bit_length() > _MAX_RADICAND_BITS:
+        r = isqrt(n)
+        if r * r == n:
+            return r, 1
+        raise ScalarContextError(f"radicand of {n.bit_length()} bits is too large to factor")
     s, d, m = 1, 1, n
     p = 2
     while p * p * p <= m:

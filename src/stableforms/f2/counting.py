@@ -2,23 +2,14 @@
 groups, and Grassmannians, with a duplicate-free RREF enumeration as the
 brute-force cross-check over GF(2)."""
 
-import os
 from fractions import Fraction
 
 from ..errors import EnumerationLimitError
 from . import kernels
 from .linalg import F2Matrix
 
-DEFAULT_ENUM_CAP = 2_000_000
-ENUM_CAP_ENV = "STABLEFORMS_MAX_ENUM"
+ENUM_CAP = 2_000_000
 MAX_ENUM_DIM = 14
-
-
-def _enum_cap():
-    try:
-        return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    except ValueError:
-        return DEFAULT_ENUM_CAP
 
 
 def q_pochhammer(a, q, n):
@@ -71,7 +62,10 @@ def grassmann_count(size, n, k):
 
 def grassmann_enumerate(n, k):
     """One canonical RREF matrix per k-dimensional subspace of F2^n, in
-    the order of `kernels.enumerate_rref`."""
+    the order of `kernels.enumerate_rref`; n must be at least 1, since an
+    F2Matrix has at least one column."""
+    if n < 1:
+        raise ValueError(f"enumeration needs n >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"subspace dimension {k} outside 0..{n}")
     if n > MAX_ENUM_DIM:
@@ -79,13 +73,12 @@ def grassmann_enumerate(n, k):
             f"enumeration dimension {n} exceeds the cap {MAX_ENUM_DIM}"
         )
     expected = grassmann_count(2, n, k)
-    cap = _enum_cap()
-    if expected > cap:
+    if expected > ENUM_CAP:
         raise EnumerationLimitError(
-            f"{expected} subspaces exceed the enumeration cap {cap}"
+            f"{expected} subspaces exceed the enumeration cap {ENUM_CAP}"
         )
     if k == 0:
-        return [F2Matrix.zero(0, n)] if n else []
+        return [F2Matrix.zero(0, n)]
     trusted = F2Matrix._trusted
     return [trusted(n, rows) for rows in kernels.enumerate_rref(n, k)]
 

@@ -46,7 +46,7 @@ def _calibration(phi, cls, plane):
     gram = cls.bilinear.restrict(plane.vectors)
     if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
         return None
-    if val ** 6 * _minors.det(cls.bilinear.entries) != _minors.det(gram.entries) ** 3:
+    if val ** 6 * linalg.det(cls.bilinear.entries) != linalg.det(gram.entries) ** 3:
         return None
     return val, gram
 

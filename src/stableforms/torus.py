@@ -517,8 +517,8 @@ class TrigForm:
     @classmethod
     def from_json(cls, obj):
         """Inverse of to_json: `dim`, `degree`, `tdeg` and each `idx` and
-        `freq` entry must be JSON integers, `idx` and `freq` lists and `c`
-        a string `re+i*im`."""
+        `freq` entry must be JSON integers, `idx` and `freq` lists, `t` a
+        JSON boolean and `c` a string `re+i*im`."""
         try:
             dim = _json_int(obj["dim"])
             degree = _json_int(obj["degree"])
@@ -528,7 +528,9 @@ class TrigForm:
                 c = GaussQ.parse(item["c"])
                 acc = scalars.setdefault(_json_ints(item["idx"]), {})
                 acc[key] = acc.get(key, GaussQ()) + c
-            has_t = bool(obj.get("t", False))
+            has_t = obj.get("t", False)
+            if type(has_t) is not bool:
+                raise TypeError(f"expected a boolean t, got {has_t!r}")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form object: {exc}") from exc
         terms = {idx: TrigScalar(dim, acc) for idx, acc in scalars.items()}

@@ -8,7 +8,7 @@ code paths, so oracle agreement is meaningful.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from stableforms import Endo, KForm, Scalar, top_coefficient
+from stableforms import Endo, KForm, Scalar, Signature, top_coefficient
 from stableforms.exterior import linalg
 from stableforms.exterior.forms import merge_signed
 from stableforms.f2 import q_pochhammer
@@ -112,8 +112,104 @@ def naive_induced_bilinear(phi):
     return rows
 
 
+# -- the Scalar eliminations the integer kernels replaced, kept verbatim ------
+# linalg.det used closed forms up to n = 3 and Scalar elimination above;
+# signature eliminated symmetrically, with a hyperbolic (1, 1) block when
+# the live diagonal was all zero.
+
+_ZERO = Scalar(0)
+_ONE = Scalar(1)
+
+
+def elimination_det(m):
+    n = len(m)
+    if n == 0:
+        return _ONE
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+    rows = [list(r) for r in m]
+    out = _ONE
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return _ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        pv = rows[c][c]
+        out = out * pv
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                f = rows[r][c] / pv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return out
+
+
+def _sym_eliminate(m, n, k, src, f):
+    """Congruence step v_k := v_k - f*v_src applied to the matrix m in place."""
+    old_src_k = m[src][k]
+    for l in range(n):
+        if l == k:
+            continue
+        m[k][l] = m[k][l] - f * m[src][l]
+        m[l][k] = m[k][l]
+    m[k][k] = m[k][k] - 2 * f * old_src_k + f * f * m[src][src]
+
+
+def elimination_signature(b):
+    """Exact (pos, neg, null) of a symmetric bilinear form.
+
+    Symmetric elimination on diagonal pivots; when the live diagonal is
+    all zero, a non-zero off-diagonal entry contributes a hyperbolic
+    (1, 1) block.
+    """
+    n = b.dim
+    m = [[x for x in row] for row in b.entries]
+    alive = list(range(n))
+    pos = neg = 0
+    while alive:
+        piv = next((i for i in alive if m[i][i]), None)
+        if piv is not None:
+            pc = m[piv][piv]
+            if pc.sign() > 0:
+                pos += 1
+            else:
+                neg += 1
+            alive.remove(piv)
+            for j in alive:
+                if m[j][piv]:
+                    _sym_eliminate(m, n, j, piv, m[j][piv] / pc)
+            continue
+        pair = next(
+            ((i, j) for i in alive for j in alive if i < j and m[i][j]), None
+        )
+        if pair is None:
+            break
+        i, j = pair
+        pw = m[i][j]
+        pos += 1
+        neg += 1
+        alive.remove(i)
+        alive.remove(j)
+        for k in alive:
+            if m[k][j]:
+                _sym_eliminate(m, n, k, i, m[k][j] / pw)
+            if m[k][i]:
+                _sym_eliminate(m, n, k, j, m[k][i] / pw)
+    return Signature(pos, neg, n - pos - neg)
+
+
 # -- the per-minor loops the minor-sum kernel replaced, kept verbatim -------
-# Each sums c_I * linalg.det(minor) over Scalars, one determinant per term.
+# Each sums c_I * elimination_det(minor) over Scalars, one determinant per
+# term, so the loops stay independent of the kernel they check.
 
 
 def loop_evaluate(form, *vectors):
@@ -122,7 +218,7 @@ def loop_evaluate(form, *vectors):
     total = Scalar(0)
     for idx, c in form.terms.items():
         minor = tuple(tuple(v[i - 1] for v in vecs) for i in idx)
-        total = total + c * linalg.det(minor)
+        total = total + c * elimination_det(minor)
     return total
 
 
@@ -137,7 +233,7 @@ def loop_pullback(form, matrix):
             minor = tuple(
                 tuple(rows[i - 1][j - 1] for j in big) for i in idx
             )
-            total = total + c * linalg.det(minor)
+            total = total + c * elimination_det(minor)
         if total:
             out[big] = total
     return KForm(form.dim, form.degree, out)
@@ -157,7 +253,7 @@ def loop_hodge_star(g, vol, alpha):
             minor = tuple(
                 tuple(ginv[i - 1][j - 1] for j in idx) for i in left
             )
-            pairing = pairing + c * linalg.det(minor)
+            pairing = pairing + c * elimination_det(minor)
         if not pairing:
             continue
         right = tuple(i for i in full if i not in left)

@@ -1,10 +1,47 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import rand_invertible
-from stableforms import DimensionError, Endo, SymBilinear, signature, standard_form
+from oracles import elimination_signature, rand_invertible
+from stableforms import (
+    DimensionError,
+    Endo,
+    ScalarContextError,
+    SymBilinear,
+    signature,
+    standard_form,
+)
 from stableforms.exterior import Scalar, linalg
+
+RADICANDS = (0, 2, 3, 5)
+
+
+def number(rng, d, density=1.0):
+    """A random fraction plus a random multiple of sqrt(d) when d > 0, each
+    part non-zero with probability at most `density`."""
+    a = Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < density else 0
+    b = Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if d and rng.random() < density else 0
+    return Scalar(a, b, d)
+
+
+def symmetric(rng, n, d, density=1.0):
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = number(rng, d, density)
+    return m
+
+
+def low_rank(rng, n, d):
+    """V^T D V for a random r x n matrix V with r < n and D diagonal."""
+    r = rng.randrange(n)
+    v = [[number(rng, d) for _ in range(n)] for _ in range(r)]
+    w = [rng.choice((-2, -1, 1, 3)) for _ in range(r)]
+    return [
+        [sum((v[k][i] * v[k][j] * w[k] for k in range(r)), Scalar(0)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def test_symmetry_enforced():
@@ -19,7 +56,7 @@ def test_signature_examples():
 
 
 def test_signature_hyperbolic_block():
-    # all-zero diagonal forces the rank-2 off-diagonal step
+    # all-zero diagonals: each hyperbolic plane contributes (1, 1)
     b = SymBilinear(2, [[0, 1], [1, 0]])
     assert signature(b) == (1, 1, 0)
     b4 = SymBilinear(4, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
@@ -39,6 +76,34 @@ def test_signature_radical_entries():
     r = Scalar(0, 1, 2)
     b = SymBilinear(2, [[r, 0], [0, -r]])
     assert signature(b) == (1, 1, 0)
+
+
+def test_signature_matches_elimination():
+    rng = random.Random(607)
+    for d in RADICANDS:
+        for n in range(9):
+            assert signature(SymBilinear.zero(n)) == (0, 0, n)
+            cases = [symmetric(rng, n, d), symmetric(rng, n, d, 0.3)]
+            hollow = symmetric(rng, n, d, 0.6)
+            for i in range(n):
+                hollow[i][i] = Scalar(0)
+            cases.append(hollow)
+            if n:
+                cases.append(low_rank(rng, n, d))
+            for m in cases:
+                b = SymBilinear(n, m)
+                assert signature(b) == elimination_signature(b)
+
+
+def test_signature_mixed_radicands_raise():
+    b = SymBilinear.diagonal([Scalar(0, 1, 2), Scalar(0, 1, 3)])
+    with pytest.raises(ScalarContextError):
+        signature(b)
+    dense = SymBilinear(2, [[Scalar(0, 1, 3), Scalar(0, 1, 2)], [Scalar(0, 1, 2), 1]])
+    with pytest.raises(ScalarContextError):
+        elimination_signature(dense)
+    with pytest.raises(ScalarContextError):
+        signature(dense)
 
 
 def test_sylvester_invariance_random():

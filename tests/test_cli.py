@@ -232,6 +232,47 @@ def test_decompose_null_exits_4(capsys):
     assert code == 4 and payload is None and err
 
 
+def assert_one_error_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "theta",
+    ["1e1000000,0,0,0,0,0,1", "0,0,0,0,0,0,1e0", "0,0,0,0,0,0,1.5", "0,0,0,0,0,0,1/0",
+     "0,0,0,0,0,0,inf", "0,0,0,0,0,0,", "0,0,0,0,0,0,1_0", "0,0,0,0,0,0," + "9" * 5000],
+)
+def test_decompose_rejects_non_rational_theta(capsys, theta):
+    start = time.perf_counter()
+    code = main(["decompose", fx("split_g2.json"), "--theta", theta])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_exit_2(code, captured.out, captured.err)
+
+
+def test_decompose_accepts_signed_fractions(capsys):
+    code, payload, _ = run_cli(
+        capsys, "decompose", fx("split_g2.json"), "--theta", " 0, +0,0/7,0,0,-0,2/2"
+    )
+    assert code == 0
+    assert payload["result"]["type"] == "Timelike"
+
+
+def test_swap_rejects_non_rational_plane(capsys):
+    for plane in (
+        "1e1000000,0,0,0,0,0,0;0,1,0,0,0,0,0;0,0,1,0,0,0,0",
+        "1,0,0,0,0,0,0;0,1.0,0,0,0,0,0;0,0,1,0,0,0,0",
+        "1,0,0,0,0,0,0;0,1,0,0,0,0,0;0,0,1,0,0,0,sqrt(2)",
+    ):
+        start = time.perf_counter()
+        code = main(["swap", fx("g2.json"), "--plane", plane])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert_one_error_exit_2(code, captured.out, captured.err)
+
+
 def test_swap_standard_plane(capsys):
     code, payload, _ = run_cli(
         capsys,
@@ -329,6 +370,14 @@ def test_grassmann_counts(capsys):
     code, payload, _ = run_cli(capsys, "grassmann", "--q", "3", "--n", "3", "--k", "1")
     assert payload["result"]["count"] == 13
     assert payload["result"]["brute_force_verified"] is False
+
+
+def test_grassmann_brute_force_on_zero_space_exits_2(capsys):
+    code, payload, _ = run_cli(capsys, "grassmann", "--q", "2", "--n", "0", "--k", "0")
+    assert code == 0 and payload["result"]["count"] == 1
+    code = main(["grassmann", "--q", "2", "--n", "0", "--k", "0", "--brute-force"])
+    captured = capsys.readouterr()
+    assert_one_error_exit_2(code, captured.out, captured.err)
 
 
 def test_grassmann_brute_force_refused_for_q3(capsys):

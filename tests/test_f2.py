@@ -25,7 +25,7 @@ from stableforms.f2 import (
     q_pochhammer,
     stiefel_whitney,
 )
-from stableforms.f2 import kernels
+from stableforms.f2 import counting, kernels
 
 from oracles import (
     bitscan_count_decomposable_nonzero,
@@ -212,9 +212,16 @@ def test_grassmann_enumerate_canonical():
 def test_grassmann_enumerate_limits(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         grassmann_enumerate(15, 2)
-    monkeypatch.setenv("STABLEFORMS_MAX_ENUM", "100")
+    monkeypatch.setattr(counting, "ENUM_CAP", 100)
     with pytest.raises(EnumerationLimitError):
         grassmann_enumerate(6, 2)
+
+
+def test_grassmann_enumerate_needs_a_column():
+    # no F2Matrix has 0 columns, so F2^0 has no RREF representative
+    with pytest.raises(ValueError):
+        grassmann_enumerate(0, 0)
+    assert len(grassmann_enumerate(1, 0)) == 1
 
 
 # -- the stabilizer group law -------------------------------------------------

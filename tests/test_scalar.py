@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,21 @@ def test_square_free_split_large_radicands():
         square_free_split(10**20 + 39)
     with pytest.raises(ScalarContextError):
         Scalar.parse("1+1*sqrt(100000000000000000039)")
+
+
+def test_square_free_split_refuses_long_radicands_at_once():
+    # trial division of a 40000-bit radicand took seconds; past 2048 bits
+    # only a perfect square is taken
+    big = 3 ** 25000 + 2
+    start = time.perf_counter()
+    with pytest.raises(ScalarContextError):
+        square_free_split(big)
+    assert time.perf_counter() - start < 0.5
+    assert square_free_split(big * big) == (big, 1)
+    assert square_free_split(2**2046 * 3) == (2**1023, 3)  # 2048 bits
+    with pytest.raises(ScalarContextError):
+        square_free_split(2**2048 * 3)
+    assert Scalar.sqrt(Fraction(big * big, 4)) == Scalar(Fraction(big, 2))
 
 
 def test_canonicalization():

@@ -234,7 +234,10 @@ def test_trigform_json_rejects_malformed_term(bad):
         TrigForm.from_json(_trig_json(**bad))
 
 
-@pytest.mark.parametrize("field,value", [("dim", 6.0), ("dim", "6"), ("degree", True)])
+@pytest.mark.parametrize(
+    "field,value",
+    [("dim", 6.0), ("dim", "6"), ("degree", True), ("t", "no"), ("t", 1), ("t", None)],
+)
 def test_trigform_json_rejects_malformed_header(field, value):
     obj = _trig_json()
     obj[field] = value
