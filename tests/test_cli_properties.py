@@ -109,9 +109,13 @@ def form_objects(draw, degree=3):
     return obj
 
 
+def dumped(objects):
+    return objects.map(lambda o: json.dumps(o).encode())
+
+
 form_bytes = st.one_of(
-    form_objects().map(lambda o: json.dumps(o).encode()),
-    json_values.map(lambda o: json.dumps(o).encode()),
+    dumped(form_objects()),
+    dumped(json_values),
     st.binary(max_size=40),
     st.sampled_from([b"[" * 100000 + b"]" * 100000, b'{"dim": 7', b"\xff\xfe"]),
 )
@@ -129,10 +133,8 @@ def form_path(tmp, name, form):
     return str(path)
 
 
-forms = st.one_of(fixture_names, form_objects().map(lambda o: json.dumps(o).encode()), form_bytes)
-two_forms = st.one_of(
-    st.just("omega_para.json"), form_objects(2).map(lambda o: json.dumps(o).encode()), forms
-)
+forms = st.one_of(fixture_names, dumped(form_objects()), form_bytes)
+two_forms = st.one_of(st.just("omega_para.json"), dumped(form_objects(2)), forms)
 
 
 @given(form=forms)
