@@ -18,7 +18,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 WALL_S = 5.0
 SETTINGS = settings(
-    max_examples=100,
+    max_examples=80,
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
