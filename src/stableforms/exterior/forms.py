@@ -290,11 +290,13 @@ def top_coefficient(alpha):
 
 
 def hodge_star(g, vol, alpha):
-    """Hodge dual: beta ^ star(alpha) = <beta, alpha> vol for all beta.
+    """Hodge dual: beta ^ star(alpha) = <beta, alpha> vol for all beta,
+    where the inner product on k-forms is the Gram determinant of the
+    dual (inverse) metric of g and vol is a non-zero top form.
 
-    The inner product on k-forms is the Gram determinant of the dual
-    (inverse) metric of g, so <e_L, alpha> is the minor sum
-    Σ_I c_I det(g^-1[I][L]); vol must be a non-zero top form.
+    By Jacobi's complementary minors, star(alpha) = (vol / det g) g^*(a)
+    for the Euclidean complement a of alpha, a_{I^c} = sign(I, I^c) c_I:
+    one determinant and one pullback, with no inverse of g.
     """
     n = alpha.dim
     if getattr(g, "dim", None) != n or vol.dim != n:
@@ -304,21 +306,12 @@ def hodge_star(g, vol, alpha):
     scale = top_coefficient(vol)
     if not scale:
         raise DimensionError("volume form is zero")
-    try:
-        ginv = linalg.inverse(linalg.coerce_matrix(g.entries))
-    except ZeroDivisionError:
-        raise DegenerateMetricError("metric is degenerate") from None
+    det_g = linalg.det(g.entries)
+    if not det_g:
+        raise DegenerateMetricError("metric is degenerate")
     full = range(1, n + 1)
-    lefts = list(combinations(full, alpha.degree))
-    pairings = minor_sums(alpha.terms, linalg.transpose(ginv), lefts)
-    out = {}
-    for left, pairing in zip(lefts, pairings):
-        if not pairing:
-            continue
+    complement = {}
+    for left, c in alpha.terms.items():
         right = tuple(i for i in full if i not in left)
-        _, sgn = merge_signed(left, right)
-        c = pairing * scale
-        if sgn < 0:
-            c = -c
-        out[right] = c
-    return KForm(n, n - alpha.degree, out)
+        complement[right] = c if merge_signed(left, right)[1] > 0 else -c
+    return KForm(n, n - alpha.degree, complement).pullback(g.entries) * (scale / det_g)

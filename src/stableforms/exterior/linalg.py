@@ -57,8 +57,9 @@ def det(m):
 
 
 def rref(m):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
+    """Reduced row-echelon form of a matrix of Scalars or plain numbers;
+    returns (rows, pivot_columns)."""
+    rows = [list(coerce_vector(r)) for r in m]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
     r = 0

@@ -4,7 +4,8 @@ the compact-type and split-type orbits across a calibrated plane.
 All predicates are polynomial in the induced bilinear form B, so they
 stay in the base field even though the normalized metric involves a
 ninth root of det B: calibration is decided by the sign of phi on the
-oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.
+oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.  The
+swap inverts nothing: it reuses det(B|_C) as the denominator of its minors.
 """
 
 from itertools import combinations
@@ -37,18 +38,21 @@ def cross_product(phi, u, v):
 
 
 def _calibration(phi, cls, plane):
-    """(phi on the plane's basis, Gram matrix of the plane under B) when
-    the plane is calibrated for the classified form -- positively
-    calibrated (spacelike as well) for a split-type form -- else None."""
+    """(phi on the plane's basis, determinant of the plane's Gram matrix
+    under B) when the plane is calibrated for the classified form --
+    positively calibrated (spacelike as well) for a split-type form --
+    else None."""
     val = phi.evaluate(*plane.vectors)
     if val.sign() <= 0:
         return None
     gram = cls.bilinear.restrict(plane.vectors)
     if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
         return None
-    if val ** 6 * linalg.det(cls.bilinear.entries) != linalg.det(gram.entries) ** 3:
+    lhs = val ** 6 * linalg.det(cls.bilinear.entries)
+    det_gram = linalg.det(gram.entries)
+    if lhs != det_gram ** 3:
         return None
-    return val, gram
+    return val, det_gram
 
 
 def is_calibrated(phi, plane):
@@ -69,9 +73,10 @@ def calibrated_swap(phi, plane):
 
     phi|_C is the pullback of phi along the B-orthogonal projection onto
     C, which sends x to sum_k lambda_k(x) v_k for the rows lambda_k of
-    Lambda = G^-1 V B (V: the basis as rows, G = V B V^T).  So phi|_C =
-    phi(v1, v2, v3) lambda_1 ^ lambda_2 ^ lambda_3, whose coefficients
-    are the 35 3x3 minors of Lambda, taken as one minor sum."""
+    Lambda = G^-1 W with W = V B (V: the basis as rows, G = V B V^T).
+    So phi|_C = phi(v1, v2, v3) lambda_1 ^ lambda_2 ^ lambda_3, whose
+    coefficients are the 35 3x3 minors of Lambda, i.e. those of W over
+    det G, taken as one minor sum."""
     cls = classify7(phi)
     if cls.orbit is Orbit7.NON_STABLE or not cls.standard_orientation:
         raise OrbitError(f"swap needs a stable standard-orientation form, got {cls.orbit.value}")
@@ -79,12 +84,10 @@ def calibrated_swap(phi, plane):
     if found is None:
         kind = "calibrated" if cls.orbit is Orbit7.G2 else "positively calibrated"
         raise NotCalibratedError(f"plane is not {kind} for this form")
-    val, gram = found
-    lam = linalg.mat_mul(
-        linalg.mat_mul(linalg.inverse(gram.entries), plane.vectors), cls.bilinear.entries
-    )
+    val, det_gram = found
+    w = linalg.mat_mul(plane.vectors, cls.bilinear.entries)
     cols = list(combinations(range(1, 8), 3))
-    minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2)}, lam, cols)
+    minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2) / det_gram}, w, cols)
     return KForm(7, 3, {idx: c for idx, c in zip(cols, minors) if c}) - phi
 
 

@@ -72,6 +72,7 @@ _TRIPLES = tuple(combinations(range(1, 8), 3))
 _UPPER = tuple((i, j) for j in range(7) for i in range(j + 1))
 _TRIPLES6 = tuple(combinations(range(1, 7), 3))
 _ZERO = Scalar(0)
+_HALF = Scalar(Fraction(1, 2))
 
 
 def _partition_tables():
@@ -280,26 +281,18 @@ def para_eigenspaces(rho):
     return planes[0], planes[1]
 
 
-def _normalized_endo(cls, flip):
-    root = _sqrt_invariant(cls.invariant)
-    k = cls.endo.scale(root.inverse())
-    return k.scale(Scalar(-1)) if flip else k
-
-
 def hitchin_dual(rho):
     """Partner 3-form: rho + i*dual is a complex volume form for the
-    induced complex structure; dual(dual(rho)) == -rho."""
+    induced complex structure; dual(dual(rho)) == -rho.
+
+    rho + i*dual has type (3,0) for the normalized endomorphism
+    J = K / sqrt|lambda| (up to sign), so dual = -J^* rho, which is
+    -K^* rho / |lambda|^(3/2): one pullback."""
     cls = classify6(rho)
     if cls.orbit is not Orbit6.SL3C:
         raise OrbitError(f"dual needs a complex-type form, got {cls.orbit.value}")
-    jhat = _normalized_endo(cls, flip=False)
-    terms = {}
-    for i in range(1, 7):
-        # rho(J e_i, e_j, e_k) is the (j, k) coefficient of (J e_i) . rho
-        for (j, k), val in rho.contract(jhat.column(i - 1)).terms.items():
-            if j > i:
-                terms[(i, j, k)] = val
-    return KForm(6, 3, terms)
+    lam = abs(cls.invariant)
+    return -rho.pullback(cls.endo.entries) * (lam * _sqrt_invariant(lam)).inverse()
 
 
 def _symmetrized(omega, endo, factor):
@@ -324,35 +317,37 @@ def hermitian_form(rho, omega):
         raise OrbitError(f"hermitian_form needs a complex-type form, got {cls.orbit.value}")
     _require(omega, 6, 2, "hermitian_form")
     # J is the structure whose (1,0)-forms pair the coordinates
-    # (1,2), (3,4), (5,6) on the model form: the negative of the
-    # normalized endomorphism.
-    j = _normalized_endo(cls, flip=True)
-    return _symmetrized(omega, j, Fraction(-1, 2))
+    # (1,2), (3,4), (5,6) on the model form: -K / sqrt|lambda|.
+    return _symmetrized(omega, cls.endo, _HALF / _sqrt_invariant(cls.invariant))
 
 
 def para_hermitian_form(rho, omega):
     """Symmetric form [omega(I a, b) + omega(I b, a)]/2 for the
-    para-complex structure I induced by a para-type form."""
+    para-complex structure I = K / sqrt(lambda) induced by a para-type
+    form."""
     cls = classify6(rho)
     if cls.orbit is not Orbit6.SL3R2:
         raise OrbitError(f"para_hermitian_form needs a para-type form, got {cls.orbit.value}")
     _require(omega, 6, 2, "para_hermitian_form")
-    i = _normalized_endo(cls, flip=False)
-    return _symmetrized(omega, i, Fraction(1, 2))
+    return _symmetrized(omega, cls.endo, _HALF / _sqrt_invariant(cls.invariant))
 
 
 def extension_admissible(rho, omega):
     """Whether theta ^ omega + rho extends rho to a split-type 3-form on
     a 7-space: signature (2,4) of the hermitian pairing on the complex
-    side, signature (3,3) plus negative omega^3 on the para side."""
+    side, signature (3,3) plus negative omega^3 on the para side.
+
+    Both pairings are S / sqrt|lambda| for S = [omega(K a, b) +
+    omega(K b, a)]/2, so the signature of S decides: no square root."""
     _require(rho, 6, 3, "extension_admissible")
     _require(omega, 6, 2, "extension_admissible")
     cls = classify6(rho)
     if cls.orbit is Orbit6.DEGENERATE:
         raise OrbitError("degenerate 3-form admits no extension criterion")
+    sig = signature(_symmetrized(omega, cls.endo, _HALF))
     if cls.orbit is Orbit6.SL3C:
-        return signature(hermitian_form(rho, omega)) == (2, 4, 0)
-    if signature(para_hermitian_form(rho, omega)) != (3, 3, 0):
+        return sig == (2, 4, 0)
+    if sig != (3, 3, 0):
         return False
     cube = omega.wedge(omega).wedge(omega)
     return top_coefficient(cube).sign() < 0

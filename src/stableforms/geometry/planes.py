@@ -1,13 +1,25 @@
-"""Oriented 3-planes given by an ordered, exactly-independent basis."""
+"""Oriented 3-planes given by an ordered, exactly-independent basis.
+
+A plane keeps its trivector v1 ^ v2 ^ v3, the 3x3 minors of the basis
+(Plucker coordinates), as one minor sum.  The basis is independent when
+the trivector is non-zero; two planes span the same 3-space when their
+trivectors are proportional, with the same orientation when the factor
+is positive.
+"""
+
+from itertools import combinations
 
 from ..errors import DimensionError
 from ..exterior import Scalar, linalg
+from ..exterior._minors import minor_sums
+
+_ONE = Scalar(1)
 
 
 class OrientedPlane:
     """Three ordered, linearly independent vectors; order fixes orientation."""
 
-    __slots__ = ("dim", "vectors")
+    __slots__ = ("dim", "vectors", "trivector")
 
     def __init__(self, dim, vectors):
         vecs = tuple(linalg.coerce_vector(v) for v in vectors)
@@ -15,10 +27,13 @@ class OrientedPlane:
             raise DimensionError("an oriented plane needs exactly 3 vectors")
         if any(len(v) != dim for v in vecs):
             raise DimensionError("vector length does not match dimension")
-        if linalg.rank(vecs) != 3:
+        cols = list(combinations(range(1, dim + 1), 3))
+        trivector = tuple(minor_sums({(1, 2, 3): _ONE}, vecs, cols))
+        if not any(trivector):
             raise DimensionError("plane vectors are linearly dependent")
         self.dim = dim
         self.vectors = vecs
+        self.trivector = trivector
 
     def basis_matrix(self):
         """3 x dim matrix with the basis vectors as rows."""
@@ -29,26 +44,19 @@ class OrientedPlane:
 
     def spans_same(self, other):
         """True when both planes have the same underlying 3-space."""
-        if self.dim != other.dim:
-            return False
-        stacked = self.vectors + other.vectors
-        return linalg.rank(stacked) == 3
+        return self._factor_sign(other) != 0
 
     def same_oriented(self, other):
         """True when the planes agree as *oriented* subspaces."""
-        if not self.spans_same(other):
-            return False
-        # Express other's basis in this basis via the Euclidean Gram matrix,
-        # invertible because the rows are independent over a real field.
-        g = [
-            [_dot(u, v) for v in self.vectors] for u in self.vectors
-        ]
-        coords = []
-        for w in other.vectors:
-            rhs = [_dot(u, w) for u in self.vectors]
-            coords.append(linalg.solve(g, rhs))
-        return linalg.det(coords).sign() > 0
+        return self._factor_sign(other) > 0
 
-
-def _dot(u, v):
-    return sum((x * y for x, y in zip(u, v)), Scalar(0))
+    def _factor_sign(self, other):
+        """Sign of t with other.trivector == t * self.trivector; 0 when
+        the trivectors are not proportional."""
+        if self.dim != other.dim:
+            return 0
+        p, q = self.trivector, other.trivector
+        k = next(i for i, x in enumerate(p) if x)
+        if any(x * q[k] != y * p[k] for x, y in zip(p, q)):
+            return 0
+        return p[k].sign() * q[k].sign()

@@ -8,7 +8,16 @@ code paths, so oracle agreement is meaningful.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from stableforms import Endo, KForm, Scalar, Signature, top_coefficient
+from stableforms import (
+    Endo,
+    KForm,
+    Orbit6,
+    OrbitError,
+    Scalar,
+    Signature,
+    classify6,
+    top_coefficient,
+)
 from stableforms.exterior import linalg
 from stableforms.exterior.forms import merge_signed
 from stableforms.f2 import q_pochhammer
@@ -280,6 +289,55 @@ def wedge_hitchin_endomorphism(rho):
             col.append(c)
         cols.append(col)
     return Endo.from_columns(cols)
+
+
+# -- the contraction and Gram paths the minor-sum identities replaced, verbatim
+# hitchin_dual read rho(J e_i, e_j, e_k) off six contractions; the plane
+# predicates used a rank test, then the Euclidean Gram matrix, three
+# solves and a determinant.
+
+
+def contraction_hitchin_dual(rho):
+    """hitchin_dual from six contractions and an index filter."""
+    cls = classify6(rho)
+    if cls.orbit is not Orbit6.SL3C:
+        raise OrbitError(f"dual needs a complex-type form, got {cls.orbit.value}")
+    jhat = cls.endo.scale(Scalar.sqrt(abs(cls.invariant)).inverse())
+    terms = {}
+    for i in range(1, 7):
+        # rho(J e_i, e_j, e_k) is the (j, k) coefficient of (J e_i) . rho
+        for (j, k), val in rho.contract(jhat.column(i - 1)).terms.items():
+            if j > i:
+                terms[(i, j, k)] = val
+    return KForm(6, 3, terms)
+
+
+def rank_spans_same(plane, other):
+    """OrientedPlane.spans_same as a rank test of the stacked bases."""
+    if plane.dim != other.dim:
+        return False
+    stacked = plane.vectors + other.vectors
+    return linalg.rank(stacked) == 3
+
+
+def gram_same_oriented(plane, other):
+    """OrientedPlane.same_oriented through the Gram matrix, solve and det."""
+    if not rank_spans_same(plane, other):
+        return False
+    # Express other's basis in this basis via the Euclidean Gram matrix,
+    # invertible because the rows are independent over a real field.
+    g = [
+        [_dot(u, v) for v in plane.vectors] for u in plane.vectors
+    ]
+    coords = []
+    for w in other.vectors:
+        rhs = [_dot(u, w) for u in plane.vectors]
+        coords.append(linalg.solve(g, rhs))
+    return linalg.det(coords).sign() > 0
+
+
+def _dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), Scalar(0))
 
 
 # -- the Fraction q-Pochhammer counts the integer products replaced, verbatim

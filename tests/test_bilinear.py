@@ -140,3 +140,14 @@ def test_endo_helpers():
     assert b.det() == Scalar(-1)
     assert a.trace() == Scalar(3)
     assert Endo.from_columns([[1, 0], [3, 4]]).column(1) == linalg.coerce_vector([3, 4])
+
+
+def test_rref_and_rank_on_plain_ints():
+    rows, pivots = linalg.rref([[3, 1, 0], [1, 2, 1]])
+    assert pivots == [0, 1]
+    assert rows == [
+        (Scalar(1), Scalar(0), Scalar(Fraction(-1, 5))),
+        (Scalar(0), Scalar(1), Scalar(Fraction(3, 5))),
+    ]
+    assert linalg.rank([[3, 1, 1], [1, 3, 1], [4, 4, 2]]) == 2
+    assert linalg.rank([[3, 1, 1], [1, 3, 1], [4, 4, 3]]) == 3

@@ -225,6 +225,17 @@ def test_decompose_spacelike(capsys):
     assert payload["result"]["rho_orbit"] == "SL3C"
 
 
+def test_decompose_generic_rational_theta(capsys):
+    # The Hitchin invariant here has an unfactorable numerator; the
+    # admissibility verdict needs no square root of it.
+    code = main(["decompose", fx("split_g2.json"), "--theta", "0,7777777777/33333333331,0,0,0,0,1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["result"]["rho_orbit"] == "SL3R2"
+    assert payload["result"]["admissible"] is True
+
+
 def test_decompose_null_exits_4(capsys):
     code, payload, err = run_cli(
         capsys, "decompose", fx("split_g2.json"), "--theta", "1,0,0,1,0,0,0"

@@ -360,10 +360,11 @@ def test_stiefel_whitney_general_sum():
         assert w2 == expect2
 
 
-def test_plucker_injective_on_2_planes():
-    planes = grassmann_enumerate(6, 2)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_plucker_injective_on_2_planes(n):
+    planes = grassmann_enumerate(n, 2)
     classes = {plucker_class(p) for p in planes}
-    assert len(classes) == len(planes) == 651
+    assert len(classes) == len(planes) == grassmann_count(2, n, 2)
     # every image is decomposable and non-zero
     for c in itertools.islice(classes, 50):
         flag, _ = is_decomposable(c)

@@ -1,8 +1,9 @@
 """The integer minor-sum kernel behind linalg.det, KForm.evaluate,
-KForm.pullback, hodge_star and calibrated_swap, and the table-built
-Hitchin endomorphism: exact equality with the Scalar elimination, the
-per-minor Scalar loops and the contract-and-wedge construction they
-replaced."""
+KForm.pullback, hodge_star, calibrated_swap, hitchin_dual and the
+OrientedPlane predicates, and the table-built Hitchin endomorphism:
+exact equality with the Scalar elimination, the per-minor Scalar loops,
+the contraction and Gram paths and the contract-and-wedge construction
+they replaced."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,9 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    contraction_hitchin_dual,
     elimination_det,
+    gram_same_oriented,
     loop_evaluate,
     loop_hodge_star,
     loop_pullback,
@@ -19,14 +22,17 @@ from oracles import (
     rand_kform,
     rand_vector,
     perm_det,
+    rank_spans_same,
     wedge_hitchin_endomorphism,
 )
 from stableforms import (
+    DimensionError,
     KForm,
     Scalar,
     ScalarContextError,
     SymBilinear,
     calibrated_swap,
+    hitchin_dual,
     hitchin_endomorphism,
     hodge_star,
     standard_form,
@@ -206,6 +212,51 @@ def test_hitchin_endomorphism_matches_wedges():
     assert hitchin_endomorphism(zero) == wedge_hitchin_endomorphism(zero)
 
 
+def test_hitchin_dual_matches_contractions():
+    rng = random.Random(67)
+    model = standard_form("sl3c")
+    for d in (0, 2, 3):
+        for _ in range(3):
+            rho = model.pullback(glplus(rng, 6, 0))
+            if d:
+                # diag(sqrt d, sqrt d, 1, 1, 1, 1) keeps det, so lambda, rational
+                spread = [list(row) for row in linalg.identity(6)]
+                spread[0][0] = spread[1][1] = Scalar(0, 1, d)
+                rho = rho.pullback(spread).pullback(glplus(rng, 6, 0))
+                assert any(c.d == d for c in rho.terms.values())
+            scale = Scalar(0, Fraction(1, 3), d) if d else Scalar(Fraction(2, 3))
+            for form in (rho, rho * scale):
+                assert hitchin_dual(form) == contraction_hitchin_dual(form)
+
+
+def gl3(rng, d, sign):
+    """An invertible 3 x 3 matrix over Q(sqrt d) whose determinant has the
+    given sign."""
+    while True:
+        c = [[number(rng, d) for _ in range(3)] for _ in range(3)]
+        s = linalg.det(c).sign()
+        if s:
+            return c if s == sign else [c[1], c[0], c[2]]
+
+
+def test_plane_predicates_match_gram_oracle():
+    rng = random.Random(68)
+    for d in (0, 2, 3):
+        for dim in (6, 7):
+            base = OrientedPlane(dim, [[number(rng, d) for _ in range(dim)] for _ in range(3)])
+            for sign in (1, -1):
+                other = OrientedPlane(dim, linalg.mat_mul(gl3(rng, d, sign), base.vectors))
+                assert base.spans_same(other) and rank_spans_same(base, other)
+                assert base.same_oriented(other) == gram_same_oriented(base, other) == (sign > 0)
+                assert other.same_oriented(base) == gram_same_oriented(other, base)
+            moved = OrientedPlane(dim, base.vectors[:2] + ([number(rng, d) for _ in range(dim)],))
+            assert not base.spans_same(moved) and not rank_spans_same(base, moved)
+            assert not base.same_oriented(moved) and not gram_same_oriented(base, moved)
+            u, v, _ = base.vectors
+            with pytest.raises(DimensionError):
+                OrientedPlane(dim, [u, v, [x - y for x, y in zip(u, v)]])
+
+
 # -- one radicand per computation --------------------------------------------
 
 
@@ -240,8 +291,9 @@ def test_mixed_radicand_hitchin_endomorphism_raises():
 
 # -- no per-minor determinants -------------------------------------------------
 # linalg.det is the kernel's top-degree minor sum, so the spy sees every
-# whole-matrix determinant; the only ones allowed are the two of the
-# calibration identity phi(b)^6 det B == det(B|_C)^3.
+# whole-matrix determinant; the only ones allowed are det g, which scales
+# hodge_star's pullback, and the two of the calibration identity
+# phi(b)^6 det B == det(B|_C)^3.
 
 
 def test_minor_loops_call_no_det(monkeypatch):
@@ -266,4 +318,4 @@ def test_minor_loops_call_no_det(monkeypatch):
     phi.evaluate(*vectors)
     hodge_star(g, vol, phi)
     calibrated_swap(phi, plane)
-    assert calls == [7, 3]
+    assert calls == [7, 7, 3]

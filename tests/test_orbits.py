@@ -32,6 +32,7 @@ from stableforms import (
     pullback,
     signature,
     standard_form,
+    top_coefficient,
 )
 from stableforms.exterior import linalg
 from stableforms.geometry.planes import OrientedPlane
@@ -374,6 +375,32 @@ def test_extension_admissible_examples():
     assert not extension_admissible(RHO_PLUS, -om_para)
     with pytest.raises(OrbitError):
         extension_admissible(KForm.basis(6, (1, 2, 3)), om_para)
+
+
+def test_extension_admissible_is_the_pairing_signature():
+    """The criterion reads the signature of the unnormalized pairing; it
+    must agree with the public normalized pairings."""
+    rng = random.Random(917)
+    om_complex = KForm(6, 2, {(1, 2): 1, (3, 4): -1, (5, 6): -1})
+    om_para = KForm(6, 2, {(1, 4): 1, (2, 5): 1, (3, 6): 1})
+    verdicts = set()
+    for model, om0 in ((RHO_MINUS, om_complex), (RHO_PLUS, om_para)):
+        for _ in range(6):
+            a = rand_glplus(rng, 6)
+            rho = pullback(a, model)
+            moved = pullback(a, om0) * Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            for om in (moved, -moved, rand_kform(rng, 6, 2, max_terms=6)):
+                if model is RHO_MINUS:
+                    want = signature(hermitian_form(rho, om)) == (2, 4, 0)
+                else:
+                    cube = om.wedge(om).wedge(om)
+                    want = (
+                        signature(para_hermitian_form(rho, om)) == (3, 3, 0)
+                        and top_coefficient(cube).sign() < 0
+                    )
+                assert extension_admissible(rho, om) == want
+                verdicts.add((model is RHO_MINUS, want))
+    assert len(verdicts) == 4
 
 
 def test_circle_family_stays_complex_type():
