@@ -37,14 +37,20 @@ def read_off(values, d=0):
     then Y is None); `d` seeds the radicand, so a value carrying another
     one raises ScalarContextError."""
     d = _radicand(values, d)
-    den = lcm(*{q.denominator for v in values for q in (v.a, v.b)})
+    if d:
+        den = lcm(*{q.denominator for v in values for q in (v.a, v.b)})
+        y = [v.b.numerator * (den // v.b.denominator) for v in values]
+    else:  # every radical part is 0
+        den = lcm(*{v.a.denominator for v in values})
+        y = None
     x = [v.a.numerator * (den // v.a.denominator) for v in values]
-    y = [v.b.numerator * (den // v.b.denominator) for v in values] if d else None
     return x, y, d, den
 
 
 def to_scalar(r, s, d, den):
-    """The Scalar (r + s sqrt(d)) / den for ints r, s and den > 0."""
+    """The Scalar (r + s sqrt(d)) / den for ints r, s and den != 0."""
+    if not (r or s):
+        return _ZERO
     if d and s:
         return Scalar._make(Fraction(r, den), Fraction(s, den), d)
     return Scalar._rational(Fraction(r, den))

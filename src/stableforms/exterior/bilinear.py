@@ -44,27 +44,17 @@ class SymBilinear:
         return cls.diagonal([0] * n)
 
     def apply(self, u, v):
-        u = linalg.coerce_vector(u)
-        return sum(
-            (x * y for x, y in zip(linalg.mat_vec(self.entries, v), u)),
-            Scalar(0),
-        )
+        return linalg.gram([u], self.entries, [v])[0][0]
 
     def restrict(self, vectors):
         """Gram matrix of the given vectors as a SymBilinear."""
-        vecs = [linalg.coerce_vector(v) for v in vectors]
-        images = [linalg.mat_vec(self.entries, v) for v in vecs]
-        gram = [
-            [sum((x * y for x, y in zip(u, bv)), Scalar(0)) for bv in images]
-            for u in vecs
-        ]
-        return SymBilinear(len(vecs), gram)
+        vecs = linalg.coerce_matrix(vectors)
+        return SymBilinear(len(vecs), linalg.gram(vecs, self.entries, vecs))
 
     def transform(self, matrix):
         """Congruent form A^T B A for the square matrix A."""
-        a = linalg.coerce_matrix(getattr(matrix, "entries", matrix))
-        m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), self.entries), a)
-        return SymBilinear(self.dim, m)
+        at = linalg.transpose(linalg.coerce_matrix(getattr(matrix, "entries", matrix)))
+        return SymBilinear(self.dim, linalg.gram(at, self.entries, at))
 
     def __eq__(self, other):
         if not isinstance(other, SymBilinear):

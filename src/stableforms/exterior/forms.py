@@ -10,7 +10,7 @@ from itertools import combinations
 
 from ..errors import DegenerateMetricError, DimensionError
 from . import linalg
-from ._minors import minor_sums
+from ._minors import minor_sums, read_off, to_scalar
 from .scalar import Scalar
 
 MAX_DIM = 8
@@ -187,28 +187,30 @@ class KForm:
         return KForm(self.dim, deg, out)
 
     def contract(self, u):
-        """Interior product: (u . alpha)(v1..) = alpha(u, v1..)."""
+        """Interior product: (u . alpha)(v1..) = alpha(u, v1..).  u and the
+        coefficients are read off once as ints over one denominator L; each
+        output coefficient sums +-u_i c_I in ints (int pairs over
+        Q(sqrt(d))) and becomes a Scalar over L^2."""
         if self.degree < 1:
             raise DimensionError("cannot contract a degree-0 form")
         u = linalg.coerce_vector(u)
         if len(u) != self.dim:
             raise DimensionError("vector length does not match dimension")
-        out = {}
-        for idx, c in self.terms.items():
+        x, y, d, den = read_off(u + tuple(self.terms.values()))
+        y = y or [0] * len(x)
+        rat, rad = {}, {}
+        for k, idx in enumerate(self.terms, len(u)):
+            c, e = x[k], y[k]
             for p, i in enumerate(idx):
-                coeff = u[i - 1]
-                if not coeff:
-                    continue
-                val = coeff * c
-                if p & 1:
-                    val = -val
-                rest = idx[:p] + idx[p + 1 :]
-                tot = out.get(rest)
-                tot = val if tot is None else tot + val
-                if tot:
-                    out[rest] = tot
-                else:
-                    out.pop(rest, None)
+                a, b = x[i - 1], y[i - 1]
+                if a or b:
+                    if p & 1:
+                        a, b = -a, -b
+                    rest = idx[:p] + idx[p + 1 :]
+                    rat[rest] = rat.get(rest, 0) + a * c + d * b * e
+                    rad[rest] = rad.get(rest, 0) + a * e + b * c
+        den *= den
+        out = {rest: to_scalar(r, rad[rest], d, den) for rest, r in rat.items() if r or rad[rest]}
         return KForm(self.dim, self.degree - 1, out)
 
     def pullback(self, matrix):

@@ -9,12 +9,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from stableforms import (
+    DimensionError,
     Endo,
     KForm,
     Orbit6,
     OrbitError,
     Scalar,
     Signature,
+    SymBilinear,
     classify6,
     top_coefficient,
 )
@@ -338,6 +340,87 @@ def gram_same_oriented(plane, other):
 
 def _dot(u, v):
     return sum((x * y for x, y in zip(u, v)), Scalar(0))
+
+
+# -- the Scalar loops the fraction-free read-off replaced, kept verbatim -----
+# rref was Gauss-Jordan over Scalars, dividing each pivot row by its pivot;
+# the matrix products, SymBilinear.restrict and KForm.contract summed
+# Scalar products entry by entry.
+
+
+def fraction_rref(m):
+    """Reduced row-echelon form of a matrix of Scalars or plain numbers;
+    returns (rows, pivot_columns)."""
+    rows = [list(linalg.coerce_vector(r)) for r in m]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return [tuple(row) for row in rows], pivots
+
+
+def scalar_mat_vec(m, v):
+    v = linalg.coerce_vector(v)
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), _ZERO) for row in m)
+
+
+def scalar_mat_mul(a, b):
+    bt = linalg.transpose(b)
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt)
+        for row in a
+    )
+
+
+def scalar_restrict(form, vectors):
+    """Gram matrix of the given vectors as a SymBilinear."""
+    vecs = [linalg.coerce_vector(v) for v in vectors]
+    images = [scalar_mat_vec(form.entries, v) for v in vecs]
+    gram = [
+        [sum((x * y for x, y in zip(u, bv)), Scalar(0)) for bv in images]
+        for u in vecs
+    ]
+    return SymBilinear(len(vecs), gram)
+
+
+def loop_contract(form, u):
+    """Interior product: (u . alpha)(v1..) = alpha(u, v1..)."""
+    if form.degree < 1:
+        raise DimensionError("cannot contract a degree-0 form")
+    u = linalg.coerce_vector(u)
+    if len(u) != form.dim:
+        raise DimensionError("vector length does not match dimension")
+    out = {}
+    for idx, c in form.terms.items():
+        for p, i in enumerate(idx):
+            coeff = u[i - 1]
+            if not coeff:
+                continue
+            val = coeff * c
+            if p & 1:
+                val = -val
+            rest = idx[:p] + idx[p + 1 :]
+            tot = out.get(rest)
+            tot = val if tot is None else tot + val
+            if tot:
+                out[rest] = tot
+            else:
+                out.pop(rest, None)
+    return KForm(form.dim, form.degree - 1, out)
 
 
 # -- the Fraction q-Pochhammer counts the integer products replaced, verbatim

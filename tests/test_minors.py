@@ -185,6 +185,15 @@ def test_det_mixed_radicands_raise():
         linalg.det(big)
 
 
+def test_det_takes_plain_numbers_and_refuses_non_square():
+    m = [[1, 2, 0], [Fraction(1, 2), 3, 1], [0, -1, 4]]
+    assert linalg.det(m) == elimination_det(linalg.coerce_matrix(m)) == Scalar(9)
+    with pytest.raises(DimensionError):
+        linalg.det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionError):
+        linalg.det([[1, 2], [3, 4], [5, 6]])
+
+
 def test_degree_zero_forms():
     one = KForm(5, 0, {(): 1})
     g = SymBilinear.diagonal([1, 2, 3, 4, 5])
