@@ -6,7 +6,10 @@ Scalars enter through `read_off`: a list of values v_i becomes integer
 vectors X, Y over one common denominator L with v_i = (X_i + Y_i sqrt(d)) / L
 for the single radicand d of the list.  Over Q(sqrt(d)) the minors are
 taken in int pairs (p, q) standing for p + q sqrt(d).  Only the results
-become Scalars again.  `bilinear.signature` works on the same read-off.
+become Scalars again.  `linalg` and `bilinear.signature` work on the same
+read-off: `signature` by symmetric fraction-free elimination (Bareiss),
+counting its pivots by Jacobi's rule and taking a 2 x 2 pivot on a zero
+diagonal.
 """
 
 from fractions import Fraction

@@ -1,5 +1,6 @@
 """Symmetric bilinear forms, endomorphisms, and exact signatures."""
 
+import operator
 from typing import NamedTuple
 
 from ..errors import DimensionError
@@ -125,45 +126,63 @@ class Endo:
 def signature(b):
     """Exact (pos, neg, null) of a symmetric bilinear form.
 
-    The signs of the coefficients of det(tI - B) = t^n + c_1 t^(n-1) + ...
-    + c_n, by Faddeev-LeVerrier on the integer read-off A = L*B (L > 0
-    keeps every sign): M_0 = I, c_k = -tr(A M_(k-1)) / k and
-    M_k = A M_(k-1) + c_k I.  Over Q(sqrt(d)), A = X + sqrt(d) Y acts on
-    M = M0 + sqrt(d) M1 as the int block matrix [[X, dY], [Y, X]] on M0
-    stacked over M1.  Each c_k lies in Z or Z[sqrt(d)], so every division
-    by k is exact.  B is symmetric, so all roots are real and Descartes'
-    rule of signs counts the positive ones exactly: pos is the number of
-    sign changes of (1, c_1, ..., c_n) and the rank the index of the last
-    non-zero c_k.  The entries must share one radicand, else
-    ScalarContextError.
+    Symmetric fraction-free elimination (Bareiss 1968) on the integer
+    read-off A = L*B (L > 0 keeps every sign), in ints or in int pairs
+    p + q sqrt(d).  Each step pivots on a non-zero diagonal entry p of the
+    trailing block and updates it by (p a_ij - a_ik a_kj) / prev with
+    `linalg._int_step` or `linalg._pair_step`, so the pivots are the
+    leading principal minors of a symmetric permutation of A and every
+    division is exact.  By Jacobi's rule each pivot adds one to pos when
+    p and prev have the same sign, else to neg.  When the live diagonal is
+    all zero but some a_kl = q is not, a 2 x 2 pivot [[0, q], [q, 0]]
+    (Bunch and Parlett 1971) adds (1, 1).  It is taken as the unimodular
+    congruence v_k += v_l, which makes a_kk = 2q, and then 1 x 1 steps:
+    pivoting on k and then l gives 2q and -q^2 / prev, of opposite signs.
+    Whatever is left once the trailing block is zero is the null part.
+    Signs are taken on the pivots only.  The entries must share one
+    radicand, else ScalarContextError.
     """
     n = b.dim
     x, y, d, _ = read_off([e for row in b.entries for e in row])
-    blocks = [[x]] if y is None else [[x, [d * v for v in y]], [y, x]]
-    h = len(blocks)
-    # sparse rows (column, entry) of the h x h block matrix
-    a = [
-        [(q * n + j, u) for q, blk in enumerate(band) for j, u in enumerate(blk[i * n : i * n + n]) if u]
-        for band in blocks
-        for i in range(n)
-    ]
-    m = [[int(i == j) for j in range(n)] for i in range(h * n)]  # I over 0
-    signs = []
-    for k in range(1, n + 1):
-        c = [-sum(u * m[j][i] for i in range(n) for j, u in a[q * n + i]) // k for q in range(h)]
-        signs.append(to_scalar(c[0], c[-1] if d else 0, d, 1).sign())
-        if k < n:
-            p = []
-            for row in a:
-                r = [0] * n
-                for j, u in row:
-                    r = [e + u * t for e, t in zip(r, m[j])]
-                p.append(r)
-            for q in range(h):
-                for i in range(n):
-                    p[q * n + i][i] += c[q]
-            m = p
-    rank = max((k for k, s in enumerate(signs, 1) if s), default=0)
-    nonzero = [1] + [s for s in signs if s]
-    pos = sum(s != t for s, t in zip(nonzero, nonzero[1:]))
-    return Signature(pos, rank - pos, n - rank)
+    if d:
+        rows = linalg._int_rows(list(zip(x, y)), n, n)
+        zero, prev, step = (0, 0), (1, 0), linalg._pair_step(d)
+
+        def add(u, v):
+            return u[0] + v[0], u[1] + v[1]
+
+        def sign(p):
+            return to_scalar(p[0], p[1], d, 1).sign()
+
+    else:
+        rows = linalg._int_rows(x, n, n)
+        zero, prev, step, add = 0, 1, linalg._int_step, operator.add
+
+        def sign(p):
+            return 1 if p > 0 else -1
+
+    pos = neg = 0
+    prev_sign = 1
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[i] != zero), None)
+        if k is None:
+            kl = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e != zero), None)
+            if kl is None:
+                break
+            k, l = kl
+            rows[k] = [add(u, v) for u, v in zip(rows[k], rows[l])]
+            for row in rows:
+                row[k] = add(row[k], row[l])
+        top = rows.pop(k)
+        p = top.pop(k)
+        s = sign(p)
+        if s == prev_sign:
+            pos += 1
+        else:
+            neg += 1
+        prev_sign = s
+        for i, row in enumerate(rows):
+            f = row.pop(k)
+            rows[i] = step(p, f, row, top, prev)
+        prev = p
+    return Signature(pos, neg, n - pos - neg)

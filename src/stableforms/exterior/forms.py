@@ -2,7 +2,9 @@
 
 A KForm stores a map from strictly increasing 1-based index tuples to
 non-zero Scalars.  Constructor input may be unsorted; it is sorted with
-sign tracking, and repeated indices kill the term.
+sign tracking, and repeated indices kill the term.  The results of the
+form operations are canonical by construction and are wrapped by
+`_trusted` without checks.
 """
 
 import json
@@ -79,6 +81,16 @@ class KForm:
         self.terms = canon
 
     @classmethod
+    def _trusted(cls, dim, degree, terms):
+        """Wrap a dict of increasing index tuples to non-zero Scalars that
+        a form operation built; no checks."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f.degree = degree
+        f.terms = terms
+        return f
+
+    @classmethod
     def zero(cls, dim, degree):
         return cls(dim, degree)
 
@@ -130,19 +142,19 @@ class KForm:
                 out[idx] = tot
             else:
                 out.pop(idx, None)
-        return KForm(self.dim, self.degree, out)
+        return KForm._trusted(self.dim, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return KForm(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
+        return KForm._trusted(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, scalar):
         s = Scalar.coerce(scalar)
         if not s:
-            return KForm(self.dim, self.degree)
-        return KForm(self.dim, self.degree, {i: c * s for i, c in self.terms.items()})
+            return KForm._trusted(self.dim, self.degree, {})
+        return KForm._trusted(self.dim, self.degree, {i: c * s for i, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -184,7 +196,7 @@ class KForm:
                     out[merged] = tot
                 else:
                     out.pop(merged, None)
-        return KForm(self.dim, deg, out)
+        return KForm._trusted(self.dim, deg, out)
 
     def contract(self, u):
         """Interior product: (u . alpha)(v1..) = alpha(u, v1..).  u and the
@@ -211,7 +223,7 @@ class KForm:
                     rad[rest] = rad.get(rest, 0) + a * e + b * c
         den *= den
         out = {rest: to_scalar(r, rad[rest], d, den) for rest, r in rat.items() if r or rad[rest]}
-        return KForm(self.dim, self.degree - 1, out)
+        return KForm._trusted(self.dim, self.degree - 1, out)
 
     def pullback(self, matrix):
         """Pullback along the linear map with the given square matrix A:
@@ -222,7 +234,7 @@ class KForm:
             raise DimensionError("matrix size does not match dimension")
         cols = list(combinations(range(1, self.dim + 1), self.degree))
         values = minor_sums(self.terms, rows, cols)
-        return KForm(self.dim, self.degree, {j: v for j, v in zip(cols, values) if v})
+        return KForm._trusted(self.dim, self.degree, {j: v for j, v in zip(cols, values) if v})
 
     # -- serialization ------------------------------------------------------
 

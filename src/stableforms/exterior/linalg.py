@@ -7,7 +7,8 @@ those and builds Scalars only for its result:
 - `det` is the top-degree minor sum of `_minors.minor_sums`;
 - `mat_mul`, `mat_vec` and `gram` share one integer matrix product;
 - `rref` is fraction-free Gauss-Jordan elimination, behind `rank`,
-  `kernel`, `inverse` and `solve`.
+  `kernel`, `inverse` and `solve`; its row steps also drive the
+  symmetric elimination of `bilinear.signature`.
 Plain ints and Fractions are accepted wherever Scalars are.  The
 read-off takes one radicand per call, so each routine raises
 ScalarContextError on input mixing two, say sqrt(2) and sqrt(3), even

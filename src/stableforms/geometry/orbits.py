@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from ..errors import DimensionError, OrbitError
@@ -234,10 +235,19 @@ def hitchin_endomorphism(rho):
 
 def hitchin_invariant(rho, endo=None):
     """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
-    equals this multiple of Id."""
+    equals this multiple of Id.  K is read off as (X + sqrt(d) Y) / L, so
+    the trace is (sum X_ij X_ji + d Y_ij Y_ji + sqrt(d) sum 2 X_ij Y_ji)
+    / L^2, taken in ints."""
     k = (hitchin_endomorphism(rho) if endo is None else endo).entries
-    trace = sum((k[i][j] * k[j][i] for i in range(6) for j in range(6)), _ZERO)
-    return trace / Scalar(6)
+    x, y, d, den = read_off([e for row in k for e in row])
+    xt = [x[j * 6 + i] for i in range(6) for j in range(6)]
+    rat = sum(map(mul, x, xt))
+    rad = 0
+    if d:
+        yt = [y[j * 6 + i] for i in range(6) for j in range(6)]
+        rat += d * sum(map(mul, y, yt))
+        rad = 2 * sum(map(mul, x, yt))
+    return to_scalar(rat, rad, d, 6 * den * den)
 
 
 def classify6(rho):
@@ -264,13 +274,10 @@ def para_eigenspaces(rho):
         raise OrbitError(f"para eigenspaces need a para-type form, got {cls.orbit.value}")
     root = _sqrt_invariant(cls.invariant)
     planes = []
-    for sgn in (1, -1):
+    for shift in (root, -root):
         shifted = [
-            [
-                cls.endo.entries[i][j] - (root if i == j else Scalar(0)) * sgn
-                for j in range(6)
-            ]
-            for i in range(6)
+            [e - shift if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(cls.endo.entries)
         ]
         basis = linalg.kernel(shifted)
         if len(basis) != 3:

@@ -18,9 +18,11 @@ from stableforms import (
     Signature,
     SymBilinear,
     classify6,
+    hitchin_endomorphism,
     top_coefficient,
 )
 from stableforms.exterior import linalg
+from stableforms.exterior._minors import read_off, to_scalar
 from stableforms.exterior.forms import merge_signed
 from stableforms.f2 import q_pochhammer
 
@@ -421,6 +423,68 @@ def loop_contract(form, u):
             else:
                 out.pop(rest, None)
     return KForm(form.dim, form.degree - 1, out)
+
+
+# -- the characteristic polynomial and the Scalar trace that symmetric Bareiss
+# elimination and the integer trace replaced, kept verbatim -----------------
+# signature took the signs of the coefficients of det(tI - B) by
+# Faddeev-LeVerrier and counted the positive roots by Descartes' rule;
+# hitchin_invariant summed the 36 products K_ij K_ji over Scalars.
+
+
+def faddeev_signature(b):
+    """Exact (pos, neg, null) of a symmetric bilinear form.
+
+    The signs of the coefficients of det(tI - B) = t^n + c_1 t^(n-1) + ...
+    + c_n, by Faddeev-LeVerrier on the integer read-off A = L*B (L > 0
+    keeps every sign): M_0 = I, c_k = -tr(A M_(k-1)) / k and
+    M_k = A M_(k-1) + c_k I.  Over Q(sqrt(d)), A = X + sqrt(d) Y acts on
+    M = M0 + sqrt(d) M1 as the int block matrix [[X, dY], [Y, X]] on M0
+    stacked over M1.  Each c_k lies in Z or Z[sqrt(d)], so every division
+    by k is exact.  B is symmetric, so all roots are real and Descartes'
+    rule of signs counts the positive ones exactly: pos is the number of
+    sign changes of (1, c_1, ..., c_n) and the rank the index of the last
+    non-zero c_k.  The entries must share one radicand, else
+    ScalarContextError.
+    """
+    n = b.dim
+    x, y, d, _ = read_off([e for row in b.entries for e in row])
+    blocks = [[x]] if y is None else [[x, [d * v for v in y]], [y, x]]
+    h = len(blocks)
+    # sparse rows (column, entry) of the h x h block matrix
+    a = [
+        [(q * n + j, u) for q, blk in enumerate(band) for j, u in enumerate(blk[i * n : i * n + n]) if u]
+        for band in blocks
+        for i in range(n)
+    ]
+    m = [[int(i == j) for j in range(n)] for i in range(h * n)]  # I over 0
+    signs = []
+    for k in range(1, n + 1):
+        c = [-sum(u * m[j][i] for i in range(n) for j, u in a[q * n + i]) // k for q in range(h)]
+        signs.append(to_scalar(c[0], c[-1] if d else 0, d, 1).sign())
+        if k < n:
+            p = []
+            for row in a:
+                r = [0] * n
+                for j, u in row:
+                    r = [e + u * t for e, t in zip(r, m[j])]
+                p.append(r)
+            for q in range(h):
+                for i in range(n):
+                    p[q * n + i][i] += c[q]
+            m = p
+    rank = max((k for k, s in enumerate(signs, 1) if s), default=0)
+    nonzero = [1] + [s for s in signs if s]
+    pos = sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+    return Signature(pos, rank - pos, n - rank)
+
+
+def scalar_hitchin_invariant(rho, endo=None):
+    """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
+    equals this multiple of Id."""
+    k = (hitchin_endomorphism(rho) if endo is None else endo).entries
+    trace = sum((k[i][j] * k[j][i] for i in range(6) for j in range(6)), _ZERO)
+    return trace / Scalar(6)
 
 
 # -- the Fraction q-Pochhammer counts the integer products replaced, verbatim

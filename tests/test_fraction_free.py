@@ -1,9 +1,11 @@
 """Fraction-free linear algebra on the integer read-off: linalg.rref,
 the one integer matrix product behind mat_mul, mat_vec and the
-SymBilinear and Endo products, and KForm.contract.  Each equals the
-Scalar loop it replaced exactly; shapes that do not fit raise
+SymBilinear and Endo products, KForm.contract, the symmetric elimination
+behind signature and the integer trace behind hitchin_invariant.  Each
+equals the code it replaced exactly; shapes that do not fit raise
 DimensionError, and input mixing two radicands raises
-ScalarContextError up front."""
+ScalarContextError up front.  The results of the KForm operations are
+canonical without the checks of the public constructor."""
 
 import random
 from fractions import Fraction
@@ -12,18 +14,36 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    elimination_signature,
+    faddeev_signature,
     fraction_rref,
     loop_contract,
+    loop_pullback,
     naive_contract,
+    naive_wedge,
+    rand_glplus,
     rand_kform,
+    scalar_hitchin_invariant,
     scalar_mat_mul,
     scalar_mat_vec,
     scalar_restrict,
 )
-from stableforms import DimensionError, Endo, KForm, Scalar, ScalarContextError, SymBilinear
+from stableforms import (
+    DimensionError,
+    Endo,
+    KForm,
+    Scalar,
+    ScalarContextError,
+    SymBilinear,
+    hitchin_endomorphism,
+    hitchin_invariant,
+    signature,
+    standard_form,
+)
 from stableforms.exterior import linalg
 
 RADICANDS = (0, 2, 3, 5)
+_ZERO = Scalar(0)
 
 
 def number(rng, d, zeros=0.3):
@@ -178,6 +198,122 @@ def test_contract_matches_loop_and_naive_oracles():
     assert dense.contract(u) == loop_contract(dense, u)
 
 
+# -- signature ---------------------------------------------------------------------
+
+
+def assert_signature_matches_oracles(b):
+    sig = signature(b)
+    assert sig == faddeev_signature(b) == elimination_signature(b)
+    return sig
+
+
+def zero_diagonal(rng, n, d):
+    e = matrix(rng, n, n, d, zeros=0.4)
+    return SymBilinear(n, [[_ZERO if i == j else e[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def low_rank(rng, n, d):
+    """V^T D V for a random r x n matrix V with r < n and D diagonal."""
+    r = rng.randrange(n)
+    v, w = matrix(rng, r, n, d), [number(rng, d, 0) for _ in range(r)]
+    return SymBilinear(n, [[sum((v[k][i] * w[k] * v[k][j] for k in range(r)), _ZERO) for j in range(n)] for i in range(n)])
+
+
+def test_signature_matches_faddeev_and_elimination_oracles():
+    rng = random.Random(87)
+    for d in RADICANDS:
+        for _ in range(20):
+            for n in range(8):
+                assert_signature_matches_oracles(symmetric(rng, n, d))
+                if n:
+                    assert_signature_matches_oracles(zero_diagonal(rng, n, d))
+                    assert_signature_matches_oracles(low_rank(rng, n, d)).null > 0
+
+
+def test_signature_takes_two_by_two_pivots():
+    rng = random.Random(88)
+    assert assert_signature_matches_oracles(SymBilinear(0, [])) == (0, 0, 0)
+    null = [[1, 0, 0, 1, 0, 0, 0], [1, 0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 0, -1, 0, 0],
+            [0, 0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, -1, 0], [1, 0, 0, 0, 0, 0, 1]]
+    for d in RADICANDS:
+        q = number(rng, d, 0)
+        assert assert_signature_matches_oracles(SymBilinear(2, [[0, q], [q, 0]])) == (1, 1, 0)
+        # two hyperbolic planes, the second reached only after the first
+        h = [[0, q, 0, 0], [q, 0, 0, 0], [0, 0, 0, q * q], [0, 0, q * q, 0]]
+        assert assert_signature_matches_oracles(SymBilinear(4, h)) == (2, 2, 0)
+        for _ in range(30):
+            assert_signature_matches_oracles(zero_diagonal(rng, 7, d))
+        # split_g2's metric diag(1, 1, 1, -1, -1, -1, -1) in a basis of null
+        # vectors, then scaled by 1 - sqrt(d) < 0 (by -2 over Q)
+        metric = standard_form("split_metric")
+        gram = metric.restrict(null)
+        assert not any(gram.entries[i][i] for i in range(7))
+        assert assert_signature_matches_oracles(gram) == (3, 4, 0)
+        c = Scalar(1, -1, d) if d else Scalar(-2)
+        flipped = SymBilinear(7, [[e * c for e in row] for row in gram.entries])
+        assert assert_signature_matches_oracles(flipped) == (4, 3, 0)
+        assert signature(SymBilinear.zero(5)) == (0, 0, 5)
+
+
+# -- hitchin_invariant and the trusted KForm results -----------------------------------
+
+
+def radical_glplus(rng, n, d):
+    """A GL+ matrix with one entry moved by a multiple of sqrt(d)."""
+    while True:
+        m = [list(row) for row in rand_glplus(rng, n)]
+        if d:
+            m[rng.randrange(n)][rng.randrange(n)] += Scalar(0, rng.choice((1, -1, 2)), d)
+        if linalg.det(m).sign() > 0:
+            return m
+
+
+def assert_canonical(form):
+    for idx, c in form.terms.items():
+        assert type(c) is Scalar and c
+        assert len(idx) == form.degree and all(1 <= i <= form.dim for i in idx)
+        assert all(a < b for a, b in zip(idx, idx[1:]))
+    assert form == KForm(form.dim, form.degree, form.terms)
+
+
+def test_hitchin_invariant_matches_scalar_trace_on_pullbacks():
+    rng = random.Random(89)
+    for d in RADICANDS:
+        for name in ("sl3c", "sl3r2"):
+            for _ in range(3):
+                rho = standard_form(name).pullback(radical_glplus(rng, 6, d))
+                k = hitchin_endomorphism(rho)
+                lam = hitchin_invariant(rho)
+                assert lam == hitchin_invariant(rho, k) == scalar_hitchin_invariant(rho, k)
+                assert k.compose(k) == Endo.diagonal([lam] * 6)
+    assert hitchin_invariant(KForm.zero(6, 3)) == Scalar(0)
+
+
+def test_trusted_results_match_the_checked_constructor():
+    rng = random.Random(90)
+    for d in RADICANDS:
+        for name in ("g2", "split_g2"):
+            a = radical_glplus(rng, 7, d)
+            phi = standard_form(name).pullback(a)
+            other = standard_form("g2").pullback(radical_glplus(rng, 7, d))
+            u = [number(rng, d) for _ in range(7)]
+            one = KForm(7, 1, {(i + 1,): c for i, c in enumerate(u) if c})
+            s = number(rng, d, 0)
+            results = [
+                (phi, loop_pullback(standard_form(name), a)),
+                (phi + other, KForm(7, 3, list(phi.terms.items()) + list(other.terms.items()))),
+                (phi - phi, KForm.zero(7, 3)),
+                (-phi, KForm(7, 3, {idx: -c for idx, c in phi.terms.items()})),
+                (phi * s, KForm(7, 3, {idx: c * s for idx, c in phi.terms.items()})),
+                (phi * 0, KForm.zero(7, 3)),
+                (phi.wedge(one), naive_wedge(phi, one)),
+                (phi.contract(u), loop_contract(phi, u)),
+            ]
+            for got, want in results:
+                assert_canonical(got)
+                assert got == want
+
+
 # -- shapes that do not fit ----------------------------------------------------------
 
 
@@ -251,7 +387,9 @@ def test_read_off_routines_do_no_scalar_arithmetic(monkeypatch):
         m = matrix(rng, 7, 7, d, zeros=0)
         aug = [row + [number(rng, d, 0)] for row in m]
         form = KForm(7, 3, {idx: number(rng, d, 0) for idx in combinations(range(1, 8), 3)})
-        inputs.append((m, aug, form, [number(rng, d, 0) for _ in range(7)]))
+        b = symmetric(rng, 7, d)
+        rho = KForm(6, 3, {idx: number(rng, d, 0) for idx in combinations(range(1, 7), 3)})
+        inputs.append((m, aug, form, [number(rng, d, 0) for _ in range(7)], b, rho))
     calls = []
     for name in ("__mul__", "__add__", "__sub__", "__truediv__"):
         original = getattr(Scalar, name)
@@ -261,8 +399,10 @@ def test_read_off_routines_do_no_scalar_arithmetic(monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(Scalar, name, counted)
-    for m, aug, form, u in inputs:
+    for m, aug, form, u, b, rho in inputs:
         linalg.rref(aug)
         linalg.mat_mul(m, m)
         form.contract(u)
+        signature(b)
+        hitchin_invariant(rho)
     assert calls == []
