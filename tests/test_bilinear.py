@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import elimination_signature, rand_invertible
+from oracles import elimination_signature, faddeev_signature, rand_invertible
 from stableforms import (
     DimensionError,
     Endo,
@@ -83,16 +83,17 @@ def test_signature_matches_elimination():
     for d in RADICANDS:
         for n in range(9):
             assert signature(SymBilinear.zero(n)) == (0, 0, n)
-            cases = [symmetric(rng, n, d), symmetric(rng, n, d, 0.3)]
-            hollow = symmetric(rng, n, d, 0.6)
-            for i in range(n):
-                hollow[i][i] = Scalar(0)
-            cases.append(hollow)
-            if n:
-                cases.append(low_rank(rng, n, d))
-            for m in cases:
-                b = SymBilinear(n, m)
-                assert signature(b) == elimination_signature(b)
+            for _ in range(2):
+                cases = [symmetric(rng, n, d), symmetric(rng, n, d, 0.3)]
+                hollow = symmetric(rng, n, d, 0.6)
+                for i in range(n):
+                    hollow[i][i] = Scalar(0)
+                cases.append(hollow)
+                if n:
+                    cases.append(low_rank(rng, n, d))
+                for m in cases:
+                    b = SymBilinear(n, m)
+                    assert signature(b) == elimination_signature(b) == faddeev_signature(b)
 
 
 def test_signature_mixed_radicands_raise():
