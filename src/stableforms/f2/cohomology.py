@@ -182,8 +182,10 @@ def plucker_class(plane):
 
 
 def decomposable_nonzero_count(n):
-    """Exhaustive scan of the non-zero degree-2 classes with a rank <= 2
-    coefficient matrix."""
+    """Number of non-zero degree-2 classes with a rank <= 2 coefficient
+    matrix, for n <= 8: the closed form [n, 2]_2 = (2^n - 1)(2^(n-1) - 1)/3
+    of the rank-2 alternating matrices over GF(2), which the tests check
+    against exhaustive scans of all 2^C(n,2) classes."""
     return kernels.count_decomposable_nonzero(n)
 
 

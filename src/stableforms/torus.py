@@ -1,24 +1,28 @@
 """Exact exterior calculus on the n-torus (optionally times a t-interval).
 
-Coefficient functions are finite Fourier sums sum_k c_k exp(i k.x) with
-Gaussian-rational c_k, stored in the complex-exponential basis so that
-products are single convolutions; realness (c_{-k} = conj(c_k)) is an
-enforced invariant.  An optional formal parameter t enters polynomially
-and is only ever substituted at rational values.  Evaluation is exact at
-points where every active frequency satisfies k.x in (pi/2)Z, since
-exp(i k.x) is then a fourth root of unity.
+Coefficient functions are finite Fourier sums sum_k c_k exp(i k.x),
+stored in the complex-exponential basis so that products are single
+convolutions.  A TrigScalar keeps Gaussian-integer numerators (re, im)
+over one positive denominator, reduced so that equal values compare
+equal; d/dx_j multiplies a numerator by i*k_j and keeps the denominator,
+and only a product multiplies denominators.  Realness (c_{-k} =
+conj(c_k)) is checked where a caller builds a TrigScalar from GaussQ
+coefficients; sums, products and derivatives of real scalars are real,
+so their results are wrapped without the check.  An optional formal
+parameter t enters polynomially and is only ever substituted at rational
+values.  Evaluation is exact at points where every active frequency
+satisfies k.x in (pi/2)Z, since exp(i k.x) is then a fourth root of
+unity.
 """
 
 import json
-import math
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import DimensionError
 from .exterior import KForm, Scalar
 from .exterior.forms import _json_int, _json_ints, sort_signed
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class GaussQ:
@@ -109,11 +113,15 @@ _QUARTER_TURNS = (
 class TrigScalar:
     """A real-valued trigonometric polynomial, optionally polynomial in t.
 
-    terms: {(frequency tuple, t-degree): GaussQ}, with the reality pairing
-    terms[(-k, m)] == conj(terms[(k, m)]) enforced at construction.
+    num: {(frequency tuple, t-degree): (re, im)} with non-zero int pairs,
+    over one positive int den; gcd(den, every re and im) == 1, so equal
+    values have equal representations.  The public constructor takes
+    Gaussian-rational coefficients and enforces the reality pairing
+    c[(-k, m)] == conj(c[(k, m)]); ring and calculus results keep it by
+    construction and are wrapped by `_trusted`.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "num", "den", "_terms")
 
     def __init__(self, dim, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -140,8 +148,47 @@ class TrigScalar:
                 raise DimensionError(
                     f"coefficients at {freq} and {neg} are not conjugate"
                 )
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(q.denominator for c in canon.values() for q in (c.re, c.im)))
         self.dim = dim
-        self.terms = canon
+        self.num = {
+            key: (c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+            for key, c in canon.items()
+        }
+        self.den = den
+        self._terms = None
+
+    @classmethod
+    def _trusted(cls, dim, num, den):
+        """Wrap non-zero numerators over den > 0 that a ring or calculus
+        operation built from real scalars; only the gcd is divided out."""
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+            den //= g
+        f = object.__new__(cls)
+        f.dim = dim
+        f.num = num
+        f.den = den
+        f._terms = None
+        return f
+
+    @property
+    def terms(self):
+        """Read-only {(frequency tuple, t-degree): GaussQ} view, built on
+        first use."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({
+                key: GaussQ(Fraction(re, den), Fraction(im, den))
+                for key, (re, im) in self.num.items()
+            })
+        return self._terms
 
     # -- constructors -----------------------------------------------------
 
@@ -177,30 +224,44 @@ class TrigScalar:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     @property
     def has_t(self):
-        return any(tdeg for (_, tdeg) in self.terms)
+        return any(tdeg for (_, tdeg) in self.num)
 
     def __add__(self, other):
         if self.dim != other.dim:
             raise DimensionError("mixed torus dimensions")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        den, oden = self.den, other.den
+        if den == oden:
+            out = dict(self.num)
+            s = 1
+        else:
+            l = den // gcd(den, oden) * oden
+            s = l // den
+            out = {key: (re * s, im * s) for key, (re, im) in self.num.items()}
+            den, s = l, l // oden
+        for key, (re, im) in other.num.items():
+            re *= s
+            im *= s
             tot = out.get(key)
-            tot = c if tot is None else tot + c
-            if tot:
-                out[key] = tot
+            if tot is not None:
+                re += tot[0]
+                im += tot[1]
+            if re or im:
+                out[key] = (re, im)
             else:
-                out.pop(key, None)
-        return TrigScalar(self.dim, out)
+                del out[key]
+        return TrigScalar._trusted(self.dim, out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TrigScalar(self.dim, {k: -c for k, c in self.terms.items()})
+        return TrigScalar._trusted(
+            self.dim, {key: (-re, -im) for key, (re, im) in self.num.items()}, self.den
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,48 +269,49 @@ class TrigScalar:
         if self.dim != other.dim:
             raise DimensionError("mixed torus dimensions")
         out = {}
-        for (f1, m1), c1 in self.terms.items():
-            for (f2, m2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(f1, f2)), m1 + m2)
-                c = c1 * c2
+        for (f1, m1), (a, b) in self.num.items():
+            for (f2, m2), (c, d) in other.num.items():
+                key = (tuple(x + y for x, y in zip(f1, f2)), m1 + m2)
+                re = a * c - b * d
+                im = a * d + b * c
                 tot = out.get(key)
-                tot = c if tot is None else tot + c
-                if tot:
-                    out[key] = tot
-                else:
-                    out.pop(key, None)
-        return TrigScalar(self.dim, out)
+                if tot is not None:
+                    re += tot[0]
+                    im += tot[1]
+                if re or im:
+                    out[key] = (re, im)
+                elif tot is not None:
+                    del out[key]
+        return TrigScalar._trusted(self.dim, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, TrigScalar):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __repr__(self):
-        return f"TrigScalar(dim={self.dim}, terms={self.terms!r})"
+        return f"TrigScalar(dim={self.dim}, num={self.num!r}, den={self.den})"
 
     # -- calculus -----------------------------------------------------------
 
     def dx(self, j):
-        """Partial derivative in the j-th torus coordinate (1-based)."""
+        """Partial derivative in the j-th torus coordinate (1-based):
+        multiplication by i*k_j, over the same denominator."""
         out = {}
-        for (freq, m), c in self.terms.items():
-            kj = freq[j - 1]
+        for key, (re, im) in self.num.items():
+            kj = key[0][j - 1]
             if kj:
-                out[(freq, m)] = c * GaussQ(0, kj)  # multiply by i*k_j
-        return TrigScalar(self.dim, out)
+                out[key] = (-kj * im, kj * re)
+        return TrigScalar._trusted(self.dim, out, self.den)
 
     def dt(self):
         out = {}
-        for (freq, m), c in self.terms.items():
+        for (freq, m), (re, im) in self.num.items():
             if m:
-                key = (freq, m - 1)
-                c2 = c * m
-                tot = out.get(key)
-                out[key] = c2 if tot is None else tot + c2
-        return TrigScalar(self.dim, out)
+                out[(freq, m - 1)] = (m * re, m * im)
+        return TrigScalar._trusted(self.dim, out, self.den)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -275,16 +337,6 @@ class TrigScalar:
             total = total + val
         assert total.im == 0  # realness invariant
         return total.re
-
-    def eval_float(self, point, t=None):
-        total = 0.0
-        for (freq, m), c in self.terms.items():
-            phase = sum(k * x for k, x in zip(freq, point))
-            val = complex(c) * complex(math.cos(phase), math.sin(phase))
-            if m:
-                val *= float(t) ** m
-            total += val.real
-        return total
 
 
 class TrigForm:
@@ -329,6 +381,17 @@ class TrigForm:
         self.has_t = has_t
         self.terms = canon
 
+    @classmethod
+    def _trusted(cls, dim, degree, terms, has_t):
+        """Wrap a dict of increasing in-range index tuples to non-zero
+        TrigScalars that a form operation built; no checks."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f.degree = degree
+        f.has_t = has_t
+        f.terms = terms
+        return f
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -359,7 +422,7 @@ class TrigForm:
         """The same form regarded on the cylinder."""
         if self.has_t:
             return self
-        return TrigForm(self.dim, self.degree, self.terms, has_t=True)
+        return TrigForm._trusted(self.dim, self.degree, self.terms, True)
 
     def __add__(self, other):
         if self.dim != other.dim or self.degree != other.degree:
@@ -374,13 +437,13 @@ class TrigForm:
                 out[idx] = tot
             else:
                 out.pop(idx, None)
-        return TrigForm(self.dim, self.degree, out, self.has_t)
+        return TrigForm._trusted(self.dim, self.degree, out, self.has_t)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TrigForm(
+        return TrigForm._trusted(
             self.dim, self.degree, {i: -c for i, c in self.terms.items()}, self.has_t
         )
 
@@ -388,12 +451,12 @@ class TrigForm:
         """Multiply by a TrigScalar (or rational) coefficient function."""
         if not isinstance(f, TrigScalar):
             f = TrigScalar.constant(self.dim, f)
-        return TrigForm(
-            self.dim,
-            self.degree,
-            {i: f * c for i, c in self.terms.items()},
-            self.has_t,
-        )
+        out = {}
+        for i, c in self.terms.items():
+            c = f * c
+            if not c.is_zero:
+                out[i] = c
+        return TrigForm._trusted(self.dim, self.degree, out, self.has_t)
 
     def __eq__(self, other):
         if not isinstance(other, TrigForm):
@@ -415,6 +478,9 @@ class TrigForm:
         if self.dim != other.dim or self.has_t != other.has_t:
             raise DimensionError("incompatible forms")
         deg = self.degree + other.degree
+        slots = self.dim + (1 if self.has_t else 0)
+        if deg > slots:
+            raise DimensionError(f"degree {deg} outside 0..{slots}")
         out = {}
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
@@ -430,7 +496,7 @@ class TrigForm:
                     out[merged] = tot
                 else:
                     out.pop(merged, None)
-        return TrigForm(self.dim, deg, out, self.has_t)
+        return TrigForm._trusted(self.dim, deg, out, self.has_t)
 
     # -- calculus -------------------------------------------------------------
 
@@ -464,7 +530,7 @@ class TrigForm:
                 _accumulate(j, idx, f.dx(j))
             if self.has_t and 0 not in idx:
                 _accumulate(0, idx, f.dt())
-        return TrigForm(self.dim, self.degree + 1, out, self.has_t)
+        return TrigForm._trusted(self.dim, self.degree + 1, out, self.has_t)
 
     # -- evaluation -------------------------------------------------------------
 

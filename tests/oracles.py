@@ -5,6 +5,7 @@ expansions, shuffle sums) without reusing the library's sparse-merge
 code paths, so oracle agreement is meaningful.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -23,8 +24,9 @@ from stableforms import (
 )
 from stableforms.exterior import linalg
 from stableforms.exterior._minors import read_off, to_scalar
-from stableforms.exterior.forms import merge_signed
+from stableforms.exterior.forms import merge_signed, sort_signed
 from stableforms.f2 import q_pochhammer
+from stableforms.torus import GaussQ
 
 
 def perm_sign(perm):
@@ -596,6 +598,403 @@ def bitscan_count_decomposable_nonzero(n):
         if not over:
             count += 1
     return count
+
+
+# The Gray-code scan that the closed form [n, 2]_2 replaced in
+# stableforms.f2.kernels.count_decomposable_nonzero, kept verbatim.
+
+
+def gray_count_decomposable_nonzero(n):
+    """Number of non-zero alternating classes on n letters whose
+    coefficient matrix has rank <= 2 over GF(2)."""
+    if n > 8:
+        raise ValueError("scan is capped at 8 letters (2^28 classes)")
+    flips = [(i, 1 << i, j, 1 << j) for i, j in combinations(range(n), 2)]
+    rows = [0] * n
+    count = 0
+    for g in range(1, 1 << len(flips)):
+        # Gray code: step g toggles the pair at g's lowest set bit
+        i, bi, j, bj = flips[(g & -g).bit_length() - 1]
+        rows[i] ^= bj
+        rows[j] ^= bi
+        # rank <= 2 iff at most three distinct non-zero rows: a 2-space
+        # holds three non-zero vectors, and three rows never span a
+        # 3-space because an alternating matrix has even rank
+        s = set(rows)
+        s.discard(0)
+        if len(s) <= 3:
+            count += 1
+    return count
+
+
+# -- the GaussQ-dict torus calculus that integer numerators replaced, verbatim
+# TrigScalar kept {(freq, tdeg): GaussQ} and rebuilt every ring and calculus
+# result through its validating constructor; TrigForm summed those scalars.
+# Only the class names differ; evaluation, JSON input and the KForm lift are
+# left out.  `dict_trig_scalar` and `dict_trig_form` copy a library value
+# into them through the public `terms` views.
+
+
+def dict_trig_scalar(f):
+    return DictTrigScalar(f.dim, dict(f.terms))
+
+
+def dict_trig_form(form):
+    return DictTrigForm(
+        form.dim,
+        form.degree,
+        {idx: dict_trig_scalar(c) for idx, c in form.terms.items()},
+        form.has_t,
+    )
+
+
+class DictTrigScalar:
+    """A real-valued trigonometric polynomial, optionally polynomial in t.
+
+    terms: {(frequency tuple, t-degree): GaussQ}, with the reality pairing
+    terms[(-k, m)] == conj(terms[(k, m)]) enforced at construction.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim, terms=()):
+        items = terms.items() if hasattr(terms, "items") else terms
+        canon = {}
+        for (freq, tdeg), c in items:
+            freq = tuple(int(f) for f in freq)
+            if len(freq) != dim:
+                raise DimensionError(f"frequency {freq} has wrong length")
+            if tdeg < 0:
+                raise DimensionError("negative t-degree")
+            c = GaussQ.coerce(c)
+            if not c:
+                continue
+            key = (freq, int(tdeg))
+            tot = canon.get(key)
+            tot = c if tot is None else tot + c
+            if tot:
+                canon[key] = tot
+            else:
+                canon.pop(key, None)
+        for (freq, tdeg), c in canon.items():
+            neg = tuple(-f for f in freq)
+            if canon.get((neg, tdeg), GaussQ()) != c.conj():
+                raise DimensionError(
+                    f"coefficients at {freq} and {neg} are not conjugate"
+                )
+        self.dim = dim
+        self.terms = canon
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def constant(cls, dim, value):
+        return cls(dim, {((0,) * dim, 0): GaussQ.coerce(value)})
+
+    @classmethod
+    def zero(cls, dim):
+        return cls(dim)
+
+    @classmethod
+    def cos_wave(cls, dim, freq):
+        freq = tuple(freq)
+        half = GaussQ(Fraction(1, 2))
+        # pair list, not a dict: both halves must accumulate at frequency 0
+        return cls(dim, [((freq, 0), half), ((tuple(-f for f in freq), 0), half)])
+
+    @classmethod
+    def sin_wave(cls, dim, freq):
+        freq = tuple(freq)
+        mi_half = GaussQ(0, Fraction(-1, 2))  # 1/(2i)
+        return cls(
+            dim,
+            [((freq, 0), mi_half), ((tuple(-f for f in freq), 0), -mi_half)],
+        )
+
+    @classmethod
+    def t_monomial(cls, dim, degree=1, coeff=1):
+        return cls(dim, {((0,) * dim, degree): GaussQ.coerce(coeff)})
+
+    # -- ring structure ---------------------------------------------------
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    @property
+    def has_t(self):
+        return any(tdeg for (_, tdeg) in self.terms)
+
+    def __add__(self, other):
+        if self.dim != other.dim:
+            raise DimensionError("mixed torus dimensions")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            tot = out.get(key)
+            tot = c if tot is None else tot + c
+            if tot:
+                out[key] = tot
+            else:
+                out.pop(key, None)
+        return DictTrigScalar(self.dim, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return DictTrigScalar(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DictTrigScalar.constant(self.dim, other)
+        if self.dim != other.dim:
+            raise DimensionError("mixed torus dimensions")
+        out = {}
+        for (f1, m1), c1 in self.terms.items():
+            for (f2, m2), c2 in other.terms.items():
+                key = (tuple(a + b for a, b in zip(f1, f2)), m1 + m2)
+                c = c1 * c2
+                tot = out.get(key)
+                tot = c if tot is None else tot + c
+                if tot:
+                    out[key] = tot
+                else:
+                    out.pop(key, None)
+        return DictTrigScalar(self.dim, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, DictTrigScalar):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __repr__(self):
+        return f"DictTrigScalar(dim={self.dim}, terms={self.terms!r})"
+
+    # -- calculus -----------------------------------------------------------
+
+    def dx(self, j):
+        """Partial derivative in the j-th torus coordinate (1-based)."""
+        out = {}
+        for (freq, m), c in self.terms.items():
+            kj = freq[j - 1]
+            if kj:
+                out[(freq, m)] = c * GaussQ(0, kj)  # multiply by i*k_j
+        return DictTrigScalar(self.dim, out)
+
+    def dt(self):
+        out = {}
+        for (freq, m), c in self.terms.items():
+            if m:
+                key = (freq, m - 1)
+                c2 = c * m
+                tot = out.get(key)
+                out[key] = c2 if tot is None else tot + c2
+        return DictTrigScalar(self.dim, out)
+
+
+class DictTrigForm:
+    """A differential form on T^n (or on an interval times T^n) whose
+    coefficients are TrigScalars.  Index 0 denotes the dt-slot and is
+    allowed only on cylinder forms (has_t set)."""
+
+    __slots__ = ("dim", "degree", "has_t", "terms")
+
+    def __init__(self, dim, degree, terms=(), has_t=False):
+        if not 1 <= dim <= 7:
+            raise DimensionError("torus dimension outside 1..7")
+        slots = dim + (1 if has_t else 0)
+        if not 0 <= degree <= slots:
+            raise DimensionError(f"degree {degree} outside 0..{slots}")
+        items = terms.items() if hasattr(terms, "items") else terms
+        canon = {}
+        for idx, coeff in items:
+            idx = tuple(int(i) for i in idx)
+            if len(idx) != degree:
+                raise DimensionError(f"index tuple {idx} has wrong length")
+            lo = 0 if has_t else 1
+            if any(not lo <= i <= dim for i in idx):
+                raise DimensionError(f"index tuple {idx} out of range")
+            sidx, sgn = sort_signed(idx)
+            if sgn == 0:
+                continue
+            if not isinstance(coeff, DictTrigScalar):
+                coeff = DictTrigScalar.constant(dim, coeff)
+            if coeff.dim != dim:
+                raise DimensionError("coefficient dimension mismatch")
+            if sgn < 0:
+                coeff = -coeff
+            tot = canon.get(sidx)
+            tot = coeff if tot is None else tot + coeff
+            if not tot.is_zero:
+                canon[sidx] = tot
+            else:
+                canon.pop(sidx, None)
+        self.dim = dim
+        self.degree = degree
+        self.has_t = has_t
+        self.terms = canon
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, dim, degree, has_t=False):
+        return cls(dim, degree, (), has_t)
+
+    @classmethod
+    def dt_form(cls, dim):
+        return cls(dim, 1, {(0,): DictTrigScalar.constant(dim, 1)}, has_t=True)
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def with_t(self):
+        """The same form regarded on the cylinder."""
+        if self.has_t:
+            return self
+        return DictTrigForm(self.dim, self.degree, self.terms, has_t=True)
+
+    def __add__(self, other):
+        if self.dim != other.dim or self.degree != other.degree:
+            raise DimensionError("incompatible forms")
+        if self.has_t != other.has_t:
+            raise DimensionError("mixed torus and cylinder forms")
+        out = dict(self.terms)
+        for idx, c in other.terms.items():
+            tot = out.get(idx)
+            tot = c if tot is None else tot + c
+            if not tot.is_zero:
+                out[idx] = tot
+            else:
+                out.pop(idx, None)
+        return DictTrigForm(self.dim, self.degree, out, self.has_t)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return DictTrigForm(
+            self.dim, self.degree, {i: -c for i, c in self.terms.items()}, self.has_t
+        )
+
+    def scale(self, f):
+        """Multiply by a DictTrigScalar (or rational) coefficient function."""
+        if not isinstance(f, DictTrigScalar):
+            f = DictTrigScalar.constant(self.dim, f)
+        return DictTrigForm(
+            self.dim,
+            self.degree,
+            {i: f * c for i, c in self.terms.items()},
+            self.has_t,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, DictTrigForm):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.degree == other.degree
+            and self.has_t == other.has_t
+            and self.terms == other.terms
+        )
+
+    def wedge(self, other):
+        if self.dim != other.dim or self.has_t != other.has_t:
+            raise DimensionError("incompatible forms")
+        deg = self.degree + other.degree
+        out = {}
+        for i1, c1 in self.terms.items():
+            for i2, c2 in other.terms.items():
+                merged, sgn = sort_signed(i1 + i2)
+                if sgn == 0:
+                    continue
+                c = c1 * c2
+                if sgn < 0:
+                    c = -c
+                tot = out.get(merged)
+                tot = c if tot is None else tot + c
+                if not tot.is_zero:
+                    out[merged] = tot
+                else:
+                    out.pop(merged, None)
+        return DictTrigForm(self.dim, deg, out, self.has_t)
+
+    # -- calculus -------------------------------------------------------------
+
+    def d(self):
+        """Exterior derivative, including dt ^ d/dt on cylinder forms."""
+        slots = self.dim + (1 if self.has_t else 0)
+        if self.degree == slots:
+            # Top-degree forms are closed; keep the result representable.
+            return DictTrigForm.zero(self.dim, self.degree, self.has_t)
+        out = {}
+
+        def _accumulate(j, idx, g):
+            if g.is_zero:
+                return
+            merged, sgn = sort_signed((j,) + idx)
+            if sgn == 0:
+                return
+            if sgn < 0:
+                g = -g
+            tot = out.get(merged)
+            tot = g if tot is None else tot + g
+            if not tot.is_zero:
+                out[merged] = tot
+            else:
+                out.pop(merged, None)
+
+        for idx, f in self.terms.items():
+            for j in range(1, self.dim + 1):
+                if j in idx:
+                    continue
+                _accumulate(j, idx, f.dx(j))
+            if self.has_t and 0 not in idx:
+                _accumulate(0, idx, f.dt())
+        return DictTrigForm(self.dim, self.degree + 1, out, self.has_t)
+
+    def to_json(self):
+        entries = []
+        for idx in sorted(self.terms):
+            f = self.terms[idx]
+            for (freq, tdeg) in sorted(f.terms):
+                item = {
+                    "idx": list(idx),
+                    "freq": list(freq),
+                    "c": str(f.terms[(freq, tdeg)]),
+                }
+                if tdeg:
+                    item["tdeg"] = tdeg
+                entries.append(item)
+        return {
+            "dim": self.dim,
+            "degree": self.degree,
+            "t": self.has_t,
+            "terms": entries,
+        }
+
+    def to_json_str(self):
+        return json.dumps(self.to_json(), separators=(",", ":"))
+
+
+def dict_cylinder_extension(rho, omega):
+    """dt ^ omega + rho + t * d(omega) on the cylinder over the torus;
+    its exterior derivative equals the pullback of d(rho)."""
+    if rho.has_t or omega.has_t:
+        raise DimensionError("inputs must live on the torus, not the cylinder")
+    if rho.degree != 3 or omega.degree != 2 or rho.dim != omega.dim:
+        raise DimensionError("need a 3-form and a 2-form on one torus")
+    dt = DictTrigForm.dt_form(rho.dim)
+    t = DictTrigScalar.t_monomial(rho.dim)
+    return (
+        dt.wedge(omega.with_t())
+        + rho.with_t()
+        + omega.d().with_t().scale(t)
+    )
 
 
 # -- random generators -----------------------------------------------------

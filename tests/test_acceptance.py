@@ -163,7 +163,7 @@ def test_criterion_5_finite_field_counts():
 
 def test_criterion_6_torus_class_counts():
     def body():
-        assert decomposable_nonzero_count(6) == 651  # scan of all 2^15 classes
+        assert decomposable_nonzero_count(6) == 651  # [6, 2]_2 rank-2 classes
         assert count_extendible_slr_classes(6) == 652
         assert count_slc_classes(6) == 64
 

@@ -30,6 +30,7 @@ from stableforms.f2 import counting, kernels
 from oracles import (
     bitscan_count_decomposable_nonzero,
     f2_rref,
+    gray_count_decomposable_nonzero,
     mask_enumerate_rref,
     pochhammer_general_linear_count,
     pochhammer_grassmann_count,
@@ -89,9 +90,11 @@ def test_enumerate_rref_matches_mask_loop():
 
 
 def test_kernel_scan_matches_bit_scan_and_closed_form():
-    for n in range(1, 7):
+    for n in range(7):
         got = kernels.count_decomposable_nonzero(n)
         assert got == bitscan_count_decomposable_nonzero(n)
+        assert got == gray_count_decomposable_nonzero(n)
+        assert decomposable_nonzero_count(n) == got
         # rank-2 alternating n x n matrices over GF(q), q = 2 (MacWilliams 1969)
         assert got == (2**n - 1) * (2 ** (n - 1) - 1) // 3
     with pytest.raises(ValueError):

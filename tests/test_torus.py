@@ -24,6 +24,12 @@ from stableforms.torus import (
     phase_family,
 )
 
+from oracles import (
+    dict_cylinder_extension,
+    dict_trig_form,
+    dict_trig_scalar,
+)
+
 RHO_MINUS = standard_form("sl3c")
 RHO_HAT = hitchin_dual(RHO_MINUS)
 
@@ -112,6 +118,16 @@ def test_wedge_evaluation_homomorphism():
 
 
 def test_derivative_matches_finite_differences():
+    def eval_float(f, point, t=None):
+        total = 0.0
+        for (freq, m), c in f.terms.items():
+            phase = sum(k * x for k, x in zip(freq, point))
+            val = complex(c) * complex(math.cos(phase), math.sin(phase))
+            if m:
+                val *= float(t) ** m
+            total += val.real
+        return total
+
     rng = random.Random(53)
     h = 1e-6
     for _ in range(10):
@@ -122,8 +138,8 @@ def test_derivative_matches_finite_differences():
             xm = list(x)
             xp[j - 1] += h
             xm[j - 1] -= h
-            numeric = (f.eval_float(xp) - f.eval_float(xm)) / (2 * h)
-            exact = f.dx(j).eval_float(x)
+            numeric = (eval_float(f, xp) - eval_float(f, xm)) / (2 * h)
+            exact = eval_float(f.dx(j), x)
             assert math.isclose(numeric, exact, rel_tol=1e-5, abs_tol=1e-5)
 
 
@@ -243,6 +259,136 @@ def test_trigform_json_rejects_malformed_header(field, value):
     obj[field] = value
     with pytest.raises(ValueError):
         TrigForm.from_json(obj)
+
+
+# -- integer numerators against the GaussQ-dict oracle ----------------------
+
+
+def _assert_matches(got, want):
+    """`got` has the oracle's terms and is the canonical value that the
+    public constructor builds from its own terms."""
+    if isinstance(got, TrigScalar):
+        assert dict(got.terms) == want.terms
+        assert TrigScalar(got.dim, got.terms) == got
+        assert got.den > 0 and math.gcd(got.den, *(x for c in got.num.values() for x in c)) == 1
+        return
+    assert (got.dim, got.degree, got.has_t) == (want.dim, want.degree, want.has_t)
+    assert {i: dict(c.terms) for i, c in got.terms.items()} == {
+        i: c.terms for i, c in want.terms.items()
+    }
+    assert TrigForm(got.dim, got.degree, got.terms, got.has_t) == got
+
+
+def test_scalar_arithmetic_matches_gaussq_oracle():
+    rng = random.Random(58)
+    for _ in range(200):
+        dim = rng.choice([1, 2, 3, 6])
+        # frequencies in -1..1 collide often, so sums cancel terms
+        a = rand_trig_scalar(rng, dim, max_freq=1, tmax=2)
+        b = rand_trig_scalar(rng, dim, max_freq=1, tmax=2)
+        oa, ob = dict_trig_scalar(a), dict_trig_scalar(b)
+        _assert_matches(a + b, oa + ob)
+        _assert_matches(a - b, oa - ob)
+        _assert_matches(-a, -oa)
+        _assert_matches(a * b, oa * ob)
+        _assert_matches(a + (b - a), ob)
+        _assert_matches(a - a, oa - oa)
+        assert (a - a) == TrigScalar.zero(dim)
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        _assert_matches(a * q, oa * q)
+        _assert_matches(q * b, q * ob)
+        for j in range(1, dim + 1):
+            _assert_matches(a.dx(j), oa.dx(j))
+        _assert_matches(a.dt(), oa.dt())
+        _assert_matches(a.dt().dt().dt(), oa.dt().dt().dt())
+
+
+def test_form_calculus_matches_gaussq_oracle():
+    rng = random.Random(59)
+    for _ in range(60):
+        dim = rng.choice([3, 4, 6])
+        has_t = rng.random() < 0.5
+        tmax = 2 if has_t else 0
+        slots = dim + has_t
+        p = rng.randint(0, min(2, slots))
+        a = rand_trig_form(rng, dim, p, has_t, tmax)
+        b = rand_trig_form(rng, dim, rng.randint(0, min(2, slots - p)), has_t, tmax)
+        c = rand_trig_form(rng, dim, p, has_t, tmax)
+        oa, ob, oc = dict_trig_form(a), dict_trig_form(b), dict_trig_form(c)
+        _assert_matches(a.wedge(b), oa.wedge(ob))
+        _assert_matches(a + c, oa + oc)
+        _assert_matches(a - c, oa - oc)
+        _assert_matches(a - a, oa - oa)
+        _assert_matches(a.d(), oa.d())
+        _assert_matches(a.d().d(), oa.d().d())
+        f = rand_trig_scalar(rng, dim, max_freq=1, tmax=tmax)
+        _assert_matches(a.scale(f), oa.scale(dict_trig_scalar(f)))
+        _assert_matches(a.scale(0), oa.scale(0))
+        if not has_t:
+            _assert_matches(a.with_t(), oa.with_t())
+    for _ in range(30):
+        rho = rand_trig_form(rng, 6, 3)
+        omega = rand_trig_form(rng, 6, 2)
+        want = dict_cylinder_extension(dict_trig_form(rho), dict_trig_form(omega))
+        got = cylinder_extension(rho, omega)
+        _assert_matches(got, want)
+        _assert_matches(got.d(), want.d())
+
+
+def test_wedge_past_top_degree_raises():
+    a = TrigForm.from_kform(KForm(3, 2, {(1, 2): 1}))
+    with pytest.raises(DimensionError):
+        a.wedge(a)
+    with pytest.raises(DimensionError):
+        a.with_t().wedge(TrigForm.dt_form(3).wedge(a.with_t()))
+
+
+def test_equal_values_over_different_denominators():
+    half = TrigScalar.constant(2, Fraction(1, 2))
+    one = half + half
+    assert one == TrigScalar.constant(2, 1)
+    assert (one.num, one.den) == ({((0, 0), 0): (1, 0)}, 1)
+    # d/dx_1 of cos(6 x_1)/6 is -sin(6 x_1): k_1 = 6 cancels the denominator
+    f = TrigScalar.cos_wave(2, (6, 0)) * Fraction(1, 6)
+    assert f.den == 12
+    g = f.dx(1)
+    assert g == -TrigScalar.sin_wave(2, (6, 0))
+    assert g.den == 2
+    # d/dt of t^3/3 is t^2, over a denominator that 3 divides out
+    h = TrigScalar.t_monomial(2, 3, Fraction(1, 3))
+    assert h.dt() == TrigScalar.t_monomial(2, 2)
+    # (1/2)(2 cos x) over den 2 equals cos x over den 2 built directly
+    two_cos = TrigScalar.cos_wave(1, (1,)) * 2
+    assert two_cos * Fraction(1, 2) == TrigScalar.cos_wave(1, (1,))
+    half1 = TrigScalar.constant(1, Fraction(1, 2))
+    assert TrigForm(1, 1, [((1,), half1), ((1,), half1)]) == TrigForm.from_kform(
+        KForm(1, 1, {(1,): 1})
+    )
+
+
+def test_terms_view_is_read_only():
+    f = TrigScalar.cos_wave(2, (1, 0))
+    assert f.terms is f.terms
+    assert dict(f.terms) == {
+        ((1, 0), 0): GaussQ(Fraction(1, 2)),
+        ((-1, 0), 0): GaussQ(Fraction(1, 2)),
+    }
+    with pytest.raises(TypeError):
+        f.terms[((0, 0), 0)] = GaussQ(1)
+
+
+def test_cylinder_json_matches_gaussq_oracle():
+    rng = random.Random(60)
+    for _ in range(40):
+        rho = rand_trig_form(rng, 6, 3)
+        omega = rand_trig_form(rng, 6, 2)
+        ext = cylinder_extension(rho, omega)
+        want = dict_cylinder_extension(dict_trig_form(rho), dict_trig_form(omega))
+        for got, oracle in ((ext, want), (ext.d(), want.d()), (omega.d(), dict_trig_form(omega).d())):
+            text = got.to_json_str()
+            assert text == oracle.to_json_str()
+            assert TrigForm.from_json_str(text) == got
+            assert TrigForm.from_json(got.to_json()) == got
 
 
 def test_cylinder_inputs_validated():
