@@ -59,6 +59,21 @@ class CliFailure(Exception):
         self.code = code
 
 
+# The exit code of each error a subcommand lets through, first match
+# first; a CliFailure carries its own code.
+_EXIT_CODES = (
+    (NullHyperplaneError, EXIT_NULL),
+    (NotCalibratedError, EXIT_NOT_CALIBRATED),
+    (EnumerationLimitError, EXIT_ENUM),
+    (OrbitError, EXIT_UNSUPPORTED),
+    (DimensionError, EXIT_UNSUPPORTED),
+    (DegenerateMetricError, EXIT_UNSUPPORTED),
+    (ScalarContextError, EXIT_UNSUPPORTED),
+    (ValueError, EXIT_PARSE),
+)
+_CAUGHT = (CliFailure,) + tuple(error for error, _ in _EXIT_CODES)
+
+
 def _read_form(path):
     try:
         with open(path, "rb") as fh:
@@ -270,24 +285,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         inputs, result = args.handler(args)
-    except CliFailure as exc:
+    except _CAUGHT as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NullHyperplaneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NULL
-    except NotCalibratedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CALIBRATED
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENUM
-    except (OrbitError, DimensionError, DegenerateMetricError, ScalarContextError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, CliFailure):
+            return exc.code
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
     report = _report(["stableforms"] + argv, inputs, result)
     print(json.dumps(report, separators=(",", ":")))
     return 0

@@ -5,6 +5,12 @@ non-zero Scalars.  Constructor input may be unsorted; it is sorted with
 sign tracking, and repeated indices kill the term.  The results of the
 form operations are canonical by construction and are wrapped by
 `_trusted` without checks.
+
+The sparse term algebra is written once, for any coefficient ring whose
+values support +, -, unary - and truth (`Scalar` here, `TrigScalar` and
+`GaussQ` in `stableforms.torus`): `_add_term` accumulates one signed
+term and drops a zero sum, and `_canonical_terms`, `_sum_terms` and
+`_wedge_terms` build constructor input, sums and wedges from it.
 """
 
 import json
@@ -46,6 +52,59 @@ def merge_signed(left, right):
     return merged, (-1 if inv & 1 else 1)
 
 
+def _add_term(out, key, c, sign):
+    """out[key] += sign * c (sign +-1) in a sparse term dict; a zero sum
+    drops the key."""
+    if not c:
+        return
+    tot = out.get(key)
+    if tot is None:
+        out[key] = c if sign > 0 else -c
+    else:
+        tot = tot + c if sign > 0 else tot - c
+        if tot:
+            out[key] = tot
+        else:
+            del out[key]
+
+
+def _canonical_terms(terms, degree, lo, hi, coerce):
+    """{increasing index tuple: non-zero coefficient} of constructor input,
+    a mapping or (index tuple, coefficient) pairs: indices lie in lo..hi,
+    each tuple is sorted with sign, repeats drop the term, and coerced
+    coefficients of equal tuples are summed."""
+    out = {}
+    for idx, c in terms.items() if hasattr(terms, "items") else terms:
+        idx = tuple(int(i) for i in idx)
+        if len(idx) != degree:
+            raise DimensionError(f"index tuple {idx} has wrong length")
+        if any(not lo <= i <= hi for i in idx):
+            raise DimensionError(f"index tuple {idx} outside {lo}..{hi}")
+        sidx, sgn = sort_signed(idx)
+        if sgn:
+            _add_term(out, sidx, coerce(c), sgn)
+    return out
+
+
+def _sum_terms(left, right, sign):
+    """left + sign * right for two canonical term dicts."""
+    out = dict(left)
+    for idx, c in right.items():
+        _add_term(out, idx, c, sign)
+    return out
+
+
+def _wedge_terms(left, right):
+    """The wedge product of two canonical term dicts."""
+    out = {}
+    for i1, c1 in left.items():
+        for i2, c2 in right.items():
+            merged, sgn = merge_signed(i1, i2)
+            if sgn:
+                _add_term(out, merged, c1 * c2, sgn)
+    return out
+
+
 class KForm:
     """An alternating form of fixed degree on R^dim."""
 
@@ -56,29 +115,9 @@ class KForm:
             raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")
         if not 0 <= degree <= dim:
             raise DimensionError(f"degree {degree} outside 0..{dim}")
-        items = terms.items() if hasattr(terms, "items") else terms
-        canon = {}
-        for idx, c in items:
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != degree:
-                raise DimensionError(f"index tuple {idx} has wrong length")
-            if any(not 1 <= i <= dim for i in idx):
-                raise DimensionError(f"index tuple {idx} outside 1..{dim}")
-            sidx, sgn = sort_signed(idx)
-            if sgn == 0:
-                continue
-            c = Scalar.coerce(c)
-            if sgn < 0:
-                c = -c
-            tot = canon.get(sidx)
-            tot = c if tot is None else tot + c
-            if tot:
-                canon[sidx] = tot
-            else:
-                canon.pop(sidx, None)
         self.dim = dim
         self.degree = degree
-        self.terms = canon
+        self.terms = _canonical_terms(terms, degree, 1, dim, Scalar.coerce)
 
     @classmethod
     def _trusted(cls, dim, degree, terms):
@@ -134,18 +173,11 @@ class KForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            tot = out.get(idx)
-            tot = c if tot is None else tot + c
-            if tot:
-                out[idx] = tot
-            else:
-                out.pop(idx, None)
-        return KForm._trusted(self.dim, self.degree, out)
+        return KForm._trusted(self.dim, self.degree, _sum_terms(self.terms, other.terms, 1))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        return KForm._trusted(self.dim, self.degree, _sum_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
         return KForm._trusted(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
@@ -181,22 +213,7 @@ class KForm:
         deg = self.degree + other.degree
         if deg > self.dim:
             raise DimensionError("wedge degree exceeds dimension")
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                merged, sgn = merge_signed(i1, i2)
-                if sgn == 0:
-                    continue
-                c = c1 * c2
-                if sgn < 0:
-                    c = -c
-                tot = out.get(merged)
-                tot = c if tot is None else tot + c
-                if tot:
-                    out[merged] = tot
-                else:
-                    out.pop(merged, None)
-        return KForm._trusted(self.dim, deg, out)
+        return KForm._trusted(self.dim, deg, _wedge_terms(self.terms, other.terms))
 
     def contract(self, u):
         """Interior product: (u . alpha)(v1..) = alpha(u, v1..).  u and the

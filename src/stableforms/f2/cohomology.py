@@ -7,7 +7,6 @@ from itertools import combinations
 
 from ..errors import DimensionError
 from . import kernels
-from .counting import grassmann_count
 
 MAX_LETTERS = 24
 
@@ -183,9 +182,9 @@ def plucker_class(plane):
 
 def decomposable_nonzero_count(n):
     """Number of non-zero degree-2 classes with a rank <= 2 coefficient
-    matrix, for n <= 8: the closed form [n, 2]_2 = (2^n - 1)(2^(n-1) - 1)/3
-    of the rank-2 alternating matrices over GF(2), which the tests check
-    against exhaustive scans of all 2^C(n,2) classes."""
+    matrix: the closed form [n, 2]_2 = (2^n - 1)(2^(n-1) - 1)/3 of the
+    rank-2 alternating matrices over GF(2), exact for every n; the tests
+    check it against exhaustive scans of all 2^C(n,2) classes for n <= 6."""
     return kernels.count_decomposable_nonzero(n)
 
 
@@ -203,6 +202,4 @@ def count_extendible_slr_classes(n):
     image of the 2-plane Grassmannian plus the zero class."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n < 2:
-        return 1
-    return grassmann_count(2, n, 2) + 1
+    return decomposable_nonzero_count(n) + 1

@@ -75,8 +75,6 @@ def count_decomposable_nonzero(n):
     """Number of non-zero alternating classes on n letters whose
     coefficient matrix has rank <= 2 over GF(2): the rank-2 alternating
     n x n matrices, [n, 2]_2 = (2^n - 1)(2^(n-1) - 1)/3."""
-    if n > 8:
-        raise ValueError("count is capped at 8 letters (2^28 classes)")
     if n < 2:
         return 0
     return (2**n - 1) * (2 ** (n - 1) - 1) // 3

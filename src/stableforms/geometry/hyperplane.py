@@ -33,11 +33,16 @@ class HyperplaneSplit:
     rho_embedded: KForm
 
     def theta_form(self):
-        return KForm(7, 1, {(i + 1,): c for i, c in enumerate(self.theta) if c})
+        return _theta_form(self.theta)
 
     def reconstructed(self):
         """theta ^ omega + rho, re-embedded; equals the split form."""
         return self.theta_form().wedge(self.omega_embedded) + self.rho_embedded
+
+
+def _theta_form(theta):
+    """The covector theta as a 1-form on R^7."""
+    return KForm(7, 1, {(i + 1,): c for i, c in enumerate(theta) if c})
 
 
 def _drop_index_one(form):
@@ -80,8 +85,7 @@ def hyperplane_split(phi, theta):
     rho6 = _drop_index_one(in_frame)
 
     omega_embedded = phi.contract(u0)
-    theta_form = KForm(7, 1, {(i + 1,): c for i, c in enumerate(theta) if c})
-    rho_embedded = phi - theta_form.wedge(omega_embedded)
+    rho_embedded = phi - _theta_form(theta).wedge(omega_embedded)
 
     return HyperplaneSplit(
         kind=kind,

@@ -13,6 +13,13 @@ parameter t enters polynomially and is only ever substituted at rational
 values.  Evaluation is exact at points where every active frequency
 satisfies k.x in (pi/2)Z, since exp(i k.x) is then a fourth root of
 unity.
+
+TrigForm's constructor, sums, wedge and d, and TrigScalar's constructor,
+run on the sparse term algebra of `stableforms.exterior.forms`
+(`_canonical_terms`, `_sum_terms`, `_wedge_terms`, `_add_term`), the
+one that KForm uses; `TrigScalar.__bool__` (non-zero) is what lets those
+helpers drop zero sums.  Only TrigScalar's int-pair sum and product
+accumulate on their own.
 """
 
 import json
@@ -22,7 +29,15 @@ from types import MappingProxyType
 
 from .errors import DimensionError
 from .exterior import KForm, Scalar
-from .exterior.forms import _json_int, _json_ints, sort_signed
+from .exterior.forms import (
+    _add_term,
+    _canonical_terms,
+    _json_int,
+    _json_ints,
+    _sum_terms,
+    _wedge_terms,
+    sort_signed,
+)
 
 
 class GaussQ:
@@ -132,16 +147,7 @@ class TrigScalar:
                 raise DimensionError(f"frequency {freq} has wrong length")
             if tdeg < 0:
                 raise DimensionError("negative t-degree")
-            c = GaussQ.coerce(c)
-            if not c:
-                continue
-            key = (freq, int(tdeg))
-            tot = canon.get(key)
-            tot = c if tot is None else tot + c
-            if tot:
-                canon[key] = tot
-            else:
-                canon.pop(key, None)
+            _add_term(canon, (freq, int(tdeg)), GaussQ.coerce(c), 1)
         for (freq, tdeg), c in canon.items():
             neg = tuple(-f for f in freq)
             if canon.get((neg, tdeg), GaussQ()) != c.conj():
@@ -225,6 +231,9 @@ class TrigScalar:
     @property
     def is_zero(self):
         return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     @property
     def has_t(self):
@@ -352,34 +361,18 @@ class TrigForm:
         slots = dim + (1 if has_t else 0)
         if not 0 <= degree <= slots:
             raise DimensionError(f"degree {degree} outside 0..{slots}")
-        items = terms.items() if hasattr(terms, "items") else terms
-        canon = {}
-        for idx, coeff in items:
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != degree:
-                raise DimensionError(f"index tuple {idx} has wrong length")
-            lo = 0 if has_t else 1
-            if any(not lo <= i <= dim for i in idx):
-                raise DimensionError(f"index tuple {idx} out of range")
-            sidx, sgn = sort_signed(idx)
-            if sgn == 0:
-                continue
-            if not isinstance(coeff, TrigScalar):
-                coeff = TrigScalar.constant(dim, coeff)
-            if coeff.dim != dim:
+
+        def coerce(c):
+            if not isinstance(c, TrigScalar):
+                c = TrigScalar.constant(dim, c)
+            if c.dim != dim:
                 raise DimensionError("coefficient dimension mismatch")
-            if sgn < 0:
-                coeff = -coeff
-            tot = canon.get(sidx)
-            tot = coeff if tot is None else tot + coeff
-            if not tot.is_zero:
-                canon[sidx] = tot
-            else:
-                canon.pop(sidx, None)
+            return c
+
         self.dim = dim
         self.degree = degree
         self.has_t = has_t
-        self.terms = canon
+        self.terms = _canonical_terms(terms, degree, 0 if has_t else 1, dim, coerce)
 
     @classmethod
     def _trusted(cls, dim, degree, terms, has_t):
@@ -424,23 +417,23 @@ class TrigForm:
             return self
         return TrigForm._trusted(self.dim, self.degree, self.terms, True)
 
-    def __add__(self, other):
+    def _check_compatible(self, other):
         if self.dim != other.dim or self.degree != other.degree:
             raise DimensionError("incompatible forms")
         if self.has_t != other.has_t:
             raise DimensionError("mixed torus and cylinder forms")
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            tot = out.get(idx)
-            tot = c if tot is None else tot + c
-            if not tot.is_zero:
-                out[idx] = tot
-            else:
-                out.pop(idx, None)
-        return TrigForm._trusted(self.dim, self.degree, out, self.has_t)
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return TrigForm._trusted(
+            self.dim, self.degree, _sum_terms(self.terms, other.terms, 1), self.has_t
+        )
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        return TrigForm._trusted(
+            self.dim, self.degree, _sum_terms(self.terms, other.terms, -1), self.has_t
+        )
 
     def __neg__(self):
         return TrigForm._trusted(
@@ -454,7 +447,7 @@ class TrigForm:
         out = {}
         for i, c in self.terms.items():
             c = f * c
-            if not c.is_zero:
+            if c:
                 out[i] = c
         return TrigForm._trusted(self.dim, self.degree, out, self.has_t)
 
@@ -481,22 +474,9 @@ class TrigForm:
         slots = self.dim + (1 if self.has_t else 0)
         if deg > slots:
             raise DimensionError(f"degree {deg} outside 0..{slots}")
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                merged, sgn = sort_signed(i1 + i2)
-                if sgn == 0:
-                    continue
-                c = c1 * c2
-                if sgn < 0:
-                    c = -c
-                tot = out.get(merged)
-                tot = c if tot is None else tot + c
-                if not tot.is_zero:
-                    out[merged] = tot
-                else:
-                    out.pop(merged, None)
-        return TrigForm._trusted(self.dim, deg, out, self.has_t)
+        return TrigForm._trusted(
+            self.dim, deg, _wedge_terms(self.terms, other.terms), self.has_t
+        )
 
     # -- calculus -------------------------------------------------------------
 
@@ -507,29 +487,11 @@ class TrigForm:
             # Top-degree forms are closed; keep the result representable.
             return TrigForm.zero(self.dim, self.degree, self.has_t)
         out = {}
-
-        def _accumulate(j, idx, g):
-            if g.is_zero:
-                return
-            merged, sgn = sort_signed((j,) + idx)
-            if sgn == 0:
-                return
-            if sgn < 0:
-                g = -g
-            tot = out.get(merged)
-            tot = g if tot is None else tot + g
-            if not tot.is_zero:
-                out[merged] = tot
-            else:
-                out.pop(merged, None)
-
         for idx, f in self.terms.items():
-            for j in range(1, self.dim + 1):
-                if j in idx:
-                    continue
-                _accumulate(j, idx, f.dx(j))
-            if self.has_t and 0 not in idx:
-                _accumulate(0, idx, f.dt())
+            for j in range(0 if self.has_t else 1, self.dim + 1):
+                if j not in idx:
+                    merged, sgn = sort_signed((j,) + idx)
+                    _add_term(out, merged, f.dt() if j == 0 else f.dx(j), sgn)
         return TrigForm._trusted(self.dim, self.degree + 1, out, self.has_t)
 
     # -- evaluation -------------------------------------------------------------
@@ -592,14 +554,13 @@ class TrigForm:
             for item in obj["terms"]:
                 key = (_json_ints(item["freq"]), _json_int(item.get("tdeg", 0)))
                 c = GaussQ.parse(item["c"])
-                acc = scalars.setdefault(_json_ints(item["idx"]), {})
-                acc[key] = acc.get(key, GaussQ()) + c
+                scalars.setdefault(_json_ints(item["idx"]), []).append((key, c))
             has_t = obj.get("t", False)
             if type(has_t) is not bool:
                 raise TypeError(f"expected a boolean t, got {has_t!r}")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form object: {exc}") from exc
-        terms = {idx: TrigScalar(dim, acc) for idx, acc in scalars.items()}
+        terms = {idx: TrigScalar(dim, pairs) for idx, pairs in scalars.items()}
         return cls(dim, degree, terms, has_t)
 
     @classmethod

@@ -97,8 +97,12 @@ def test_kernel_scan_matches_bit_scan_and_closed_form():
         assert decomposable_nonzero_count(n) == got
         # rank-2 alternating n x n matrices over GF(q), q = 2 (MacWilliams 1969)
         assert got == (2**n - 1) * (2 ** (n - 1) - 1) // 3
-    with pytest.raises(ValueError):
-        kernels.count_decomposable_nonzero(9)
+    # the closed form is exact for every n
+    for n in range(9, 25):
+        got = kernels.count_decomposable_nonzero(n)
+        assert got == grassmann_count(2, n, 2)
+        assert got == count_extendible_slr_classes(n) - 1
+        assert decomposable_nonzero_count(n) == got
 
 
 # -- counting ----------------------------------------------------------------

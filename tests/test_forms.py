@@ -53,6 +53,12 @@ def test_wedge_basis_cases():
     assert wedge(th1, th2) == E(7, (1, 2))
     assert wedge(E(7, (1, 2, 3)), E(7, (4, 5, 6))) == E(7, (1, 2, 3, 4, 5, 6))
     assert wedge(th1, th1).is_zero
+    # (e2) ^ (e1 e3) merges with an odd sign and cancels (e1) ^ (e2 e3)
+    a = E(7, (1,)) + E(7, (2,))
+    b = E(7, (2, 3)) + E(7, (1, 3)) + E(7, (4, 5))
+    ab = wedge(a, b)
+    assert ab == naive_wedge(a, b) == E(7, (1, 4, 5)) + E(7, (2, 4, 5))
+    assert wedge(E(7, (2,)), E(7, (1, 3))) == -E(7, (1, 2, 3))
 
 
 def test_omega_cubed():
@@ -65,13 +71,21 @@ def test_omega_cubed():
 
 def test_wedge_against_oracle_random():
     rng = random.Random(101)
+    rng_c = random.Random(102)  # a separate stream: a and b do not depend on c
     for _ in range(25):
         dim = rng.choice([4, 5, 6])
         ka = rng.randint(1, 2)
         kb = rng.randint(1, min(2, dim - ka))
         a = rand_kform(rng, dim, ka)
         b = rand_kform(rng, dim, kb)
+        c = rand_kform(rng_c, dim, ka, lo=-1, hi=1)
         assert wedge(a, b) == naive_wedge(a, b)
+        diff = a - c
+        assert diff == a + (-c)
+        assert wedge(diff, b) == naive_wedge(diff, b)
+        for idx in set(a.terms) | set(c.terms):
+            assert diff.coefficient(idx) == a.coefficient(idx) - c.coefficient(idx)
+        assert (a - a).terms == {}
 
 
 def test_wedge_laws_random():

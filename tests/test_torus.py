@@ -293,6 +293,8 @@ def test_scalar_arithmetic_matches_gaussq_oracle():
         _assert_matches(a + (b - a), ob)
         _assert_matches(a - a, oa - oa)
         assert (a - a) == TrigScalar.zero(dim)
+        for x in (a, a - a, a.dt(), a.dx(1)):
+            assert bool(x) == (not x.is_zero)
         q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         _assert_matches(a * q, oa * q)
         _assert_matches(q * b, q * ob)
@@ -317,7 +319,9 @@ def test_form_calculus_matches_gaussq_oracle():
         _assert_matches(a.wedge(b), oa.wedge(ob))
         _assert_matches(a + c, oa + oc)
         _assert_matches(a - c, oa - oc)
+        assert a - c == a + (-c)
         _assert_matches(a - a, oa - oa)
+        assert (a - a).terms == {}
         _assert_matches(a.d(), oa.d())
         _assert_matches(a.d().d(), oa.d().d())
         f = rand_trig_scalar(rng, dim, max_freq=1, tmax=tmax)
@@ -325,6 +329,14 @@ def test_form_calculus_matches_gaussq_oracle():
         _assert_matches(a.scale(0), oa.scale(0))
         if not has_t:
             _assert_matches(a.with_t(), oa.with_t())
+    # (e2) ^ (e0 e3) merges with an odd sign and cancels (e0) ^ (e2 e3)
+    f = TrigScalar.cos_wave(3, (1, 0, 2))
+    g = TrigScalar.sin_wave(3, (0, 1, 0)) * Fraction(1, 3)
+    a = TrigForm(3, 1, {(0,): f, (1,): f, (2,): f}, has_t=True)
+    b = TrigForm(3, 2, {(2, 3): g, (0, 3): g}, has_t=True)
+    ab = a.wedge(b)
+    assert ab == TrigForm(3, 3, {(1, 2, 3): f * g, (0, 1, 3): -(f * g)}, has_t=True)
+    _assert_matches(ab, dict_trig_form(a).wedge(dict_trig_form(b)))
     for _ in range(30):
         rho = rand_trig_form(rng, 6, 3)
         omega = rand_trig_form(rng, 6, 2)
@@ -396,3 +408,7 @@ def test_cylinder_inputs_validated():
         cylinder_extension(rho, rho)
     with pytest.raises(DimensionError):
         cylinder_extension(rho.with_t(), TrigForm.zero(6, 2))
+    # index 0 is the dt-slot: a cylinder form has it, a torus form does not
+    with pytest.raises(DimensionError):
+        TrigForm(3, 1, {(0,): 1})
+    assert TrigForm(3, 1, {(0,): 1}, has_t=True) == TrigForm.dt_form(3)
