@@ -12,7 +12,8 @@ from enum import Enum
 
 from ..errors import DimensionError, NullHyperplaneError, OrbitError
 from ..exterior import Endo, KForm, basis_vector, linalg
-from .orbits import Orbit7, classify7
+from ..exterior._minors import read_off, to_scalar
+from .orbits import _PAIRS, _TRIPLES, _ZERO, Orbit7, classify7
 
 
 class HyperplaneKind(Enum):
@@ -33,16 +34,12 @@ class HyperplaneSplit:
     rho_embedded: KForm
 
     def theta_form(self):
-        return _theta_form(self.theta)
+        """The covector theta as a 1-form on R^7."""
+        return KForm(7, 1, {(i + 1,): c for i, c in enumerate(self.theta) if c})
 
     def reconstructed(self):
         """theta ^ omega + rho, re-embedded; equals the split form."""
         return self.theta_form().wedge(self.omega_embedded) + self.rho_embedded
-
-
-def _theta_form(theta):
-    """The covector theta as a 1-form on R^7."""
-    return KForm(7, 1, {(i + 1,): c for i, c in enumerate(theta) if c})
 
 
 def _drop_index_one(form):
@@ -52,6 +49,30 @@ def _drop_index_one(form):
         if 1 not in idx
     }
     return KForm(6, form.degree, kept)
+
+
+def _minus_theta_wedge(phi, theta, omega):
+    """phi - theta ^ omega in one pass over the 35 triples, where theta ^
+    omega has the coefficient theta_i omega_jk - theta_j omega_ik +
+    theta_k omega_ij at (i, j, k).  All three are read off over one
+    denominator L, as (X + sqrt(d) Y) / L, so the result is
+    (L X - T ^ W) / L^2, taken in int pairs."""
+    x, y, d, den = read_off(
+        [phi.terms.get(t, _ZERO) for t in _TRIPLES]
+        + list(theta)
+        + [omega.terms.get(p, _ZERO) for p in _PAIRS]
+    )
+    y = y or [0] * len(x)
+    at = {p: n for n, p in enumerate(_PAIRS, 42)}  # omega after phi, theta
+    terms = {}
+    for n, (i, j, k) in enumerate(_TRIPLES):
+        r, s = den * x[n], den * y[n]
+        for a, b, sign in ((34 + i, at[j, k], -1), (34 + j, at[i, k], 1), (34 + k, at[i, j], -1)):
+            r += sign * (x[a] * x[b] + d * y[a] * y[b])
+            s += sign * (x[a] * y[b] + y[a] * x[b])
+        if r or s:
+            terms[i, j, k] = to_scalar(r, s, d, den * den)
+    return KForm._trusted(7, 3, terms)
 
 
 def hyperplane_split(phi, theta):
@@ -85,7 +106,7 @@ def hyperplane_split(phi, theta):
     rho6 = _drop_index_one(in_frame)
 
     omega_embedded = phi.contract(u0)
-    rho_embedded = phi - _theta_form(theta).wedge(omega_embedded)
+    rho_embedded = _minus_theta_wedge(phi, theta, omega_embedded)
 
     return HyperplaneSplit(
         kind=kind,

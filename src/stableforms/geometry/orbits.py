@@ -11,6 +11,7 @@ structure, the dual form, and the extension criteria.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Optional
@@ -24,7 +25,6 @@ from ..exterior import (
     SymBilinear,
     linalg,
     signature,
-    top_coefficient,
 )
 from ..exterior._minors import read_off, to_scalar
 from ..exterior.forms import sort_signed
@@ -66,63 +66,62 @@ def _require(form, dim, degree, what):
         )
 
 
-# Index tables of the closed forms in the docstrings of induced_bilinear
-# and hitchin_endomorphism.
+# Index tables of the closed forms in the docstrings of induced_bilinear,
+# hitchin_endomorphism and extension_admissible.
 _PAIRS = tuple(combinations(range(1, 8), 2))
 _TRIPLES = tuple(combinations(range(1, 8), 3))
 _UPPER = tuple((i, j) for j in range(7) for i in range(j + 1))
 _TRIPLES6 = tuple(combinations(range(1, 7), 3))
+_PAIRS6 = tuple(combinations(range(1, 7), 2))
 _ZERO = Scalar(0)
 _HALF = Scalar(Fraction(1, 2))
 
 
-def _partition_tables():
-    pair_at = {p: k for k, p in enumerate(_PAIRS)}
-    triple_at = {t: k for k, t in enumerate(_TRIPLES)}
-    # Row i of C: (A, the 3-set {i} + A, sign of sorting (i, a, b)).
-    contractions = tuple(
-        tuple(
-            (pair_at[p], triple_at[t], s)
-            for p in _PAIRS
-            for t, s in (sort_signed((i,) + p),)
-            if s
-        )
+@cache
+def _cubic_table():
+    """Row n: the monomials (A, B, C, c) of the entry _UPPER[n] of
+    6 B = C M C^T (see induced_bilinear), A, B, C indices into _TRIPLES
+    and 3c the coefficient of phi_A phi_B phi_C; 735 monomials, 15 or 30
+    per row, c in {-2, -1, 1, 2}.  Built on first use, not at import."""
+    at = {t: n for n, t in enumerate(_TRIPLES)}
+    # C[i]: P -> (the 3-set {i} + P, sign of sorting (i, p, q)), i not in P.
+    con = [
+        {p: (at[t], s) for p in _PAIRS for t, s in (sort_signed((i,) + p),) if s}
         for i in range(1, 8)
-    )
-    # Row A of M: (B, the complement C', sign of the permutation (A, B, C')).
-    partitions = []
-    for a in _PAIRS:
-        row = []
-        for b in _PAIRS:
-            if a[0] in b or a[1] in b:
-                continue
-            c = tuple(k for k in range(1, 8) if k not in a and k not in b)
-            row.append((pair_at[b], triple_at[c], sort_signed(a + b + c)[1]))
-        partitions.append(tuple(row))
-    return contractions, tuple(partitions)
-
-
-_CONTRACTIONS, _PARTITIONS = _partition_tables()
-
-
-def _table_product(p):
-    """Entries of C M C^T at the positions _UPPER, for integer
-    coefficients p indexed like _TRIPLES."""
-    c = []
-    for row_table in _CONTRACTIONS:
-        row = [0] * 21
-        for a, t, s in row_table:
-            row[a] = s * p[t]
-        c.append(row)
-    m = [
-        [(b, s * p[t]) for b, t, s in row_table if p[t]]
-        for row_table in _PARTITIONS
     ]
-    out = []
-    for j, cj in enumerate(c):
-        n = [sum(v * cj[b] for b, v in row) for row in m]
-        out.extend(sum(x * y for x, y in zip(ci, n)) for ci in c[: j + 1])
-    return out
+    # Row P of M: (Q, R, sign(P, Q, R)) over the partitions P + Q + R of {1..7}.
+    part = {p: [] for p in _PAIRS}
+    for r in _TRIPLES:
+        rest = [k for k in range(1, 8) if k not in r]
+        for p in combinations(rest, 2):
+            q = tuple(k for k in rest if k not in p)
+            part[p].append((q, at[r], sort_signed(p + q + r)[1]))
+    table = []
+    for i, j in _UPPER:
+        acc = {}
+        for p, (a, sa) in con[i].items():
+            for q, r, s in part[p]:
+                if q in con[j]:
+                    b, sb = con[j][q]
+                    # {i} + P, {j} + Q and R are three distinct 3-sets.
+                    mono = acc.setdefault(1 << a | 1 << b | 1 << r, [a, b, r, 0])
+                    mono[3] += sa * sb * s
+        table.append(tuple((a, b, r, k // 3) for a, b, r, k in acc.values() if k))
+    return tuple(table)
+
+
+def _cubic(x, y, d, monomials):
+    """(R, S) with R + sqrt(d) S = sum k v_a v_b v_c over the monomials
+    (a, b, c, k) for v = X + sqrt(d) Y (Y None if d = 0), in int pairs."""
+    if not d:
+        return sum(k * x[a] * x[b] * x[c] for a, b, c, k in monomials), 0
+    r = s = 0
+    for a, b, c, k in monomials:
+        u = x[a] * x[b] + d * y[a] * y[b]  # v_a v_b = u + sqrt(d) w
+        w = x[a] * y[b] + y[a] * x[b]
+        r += k * (u * x[c] + d * w * y[c])
+        s += k * (u * y[c] + w * x[c])
+    return r, s
 
 
 def induced_bilinear(phi):
@@ -132,34 +131,23 @@ def induced_bilinear(phi):
     Closed form: 6 B = C M C^T, where C[i][A] = phi(e_i, e_a, e_b) over
     the 21 2-sets A = {a, b} and M[A][B] = sign(A, B, C') phi_C' over
     the 210 partitions of {1..7} into 2-sets A, B and the 3-set C'.
+    Expanded, each of the 28 upper entries is a cubic of 15 or 30
+    monomials 3c phi_A phi_B phi_C, c = +-1 or +-2 (`_cubic_table`).
 
     The coefficients are read off (`exterior._minors.read_off`) over one
     denominator L, the lcm of the denominators of all their rational and
     radical parts, so that phi = (X + sqrt(d) Y) / L with integer
-    coefficient vectors X, Y and the form's single radicand d.  The
-    cubic K = C M C^T is taken in Python ints and
-    B = (R + sqrt(d) S) / (6 L^3).  Writing K(sX + tY) =
-    c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3, R = c0 + d c2 and
-    S = c1 + d c3, read off from K(X), K(Y), K(X + Y) and K(X - Y).
+    coefficient vectors X, Y and the form's single radicand d.  Each
+    cubic is evaluated once, in ints over Q and in int pairs over
+    Q(sqrt d), to R + sqrt(d) S, and B = (R + sqrt(d) S) / (2 L^3).
     A form carrying two different radicands raises ScalarContextError.
     """
     _require(phi, 7, 3, "induced_bilinear")
     x, y, d, den = read_off([phi.terms.get(t, _ZERO) for t in _TRIPLES])
-    rat = _table_product(x)
-    rad = [0] * len(_UPPER)
-    if d:
-        c0 = rat
-        c3 = _table_product(y)
-        plus = _table_product([u + v for u, v in zip(x, y)])
-        minus = _table_product([u - v for u, v in zip(x, y)])
-        c2 = [(p + q) // 2 - r for p, q, r in zip(plus, minus, c0)]
-        c1 = [(p - q) // 2 - r for p, q, r in zip(plus, minus, c3)]
-        rat = [r + d * s for r, s in zip(c0, c2)]
-        rad = [r + d * s for r, s in zip(c1, c3)]
-    scale = 6 * den ** 3
+    scale = 2 * den ** 3
     rows = [[None] * 7 for _ in range(7)]
-    for (i, j), r, s in zip(_UPPER, rat, rad):
-        rows[i][j] = rows[j][i] = to_scalar(r, s, d, scale)
+    for (i, j), monomials in zip(_UPPER, _cubic_table()):
+        rows[i][j] = rows[j][i] = to_scalar(*_cubic(x, y, d, monomials), d, scale)
     return SymBilinear(7, rows)
 
 
@@ -179,6 +167,7 @@ def classify7(phi):
     return Class7(Orbit7.NON_STABLE, None, sig, b)
 
 
+@cache
 def _hitchin_table():
     """Row j, column i of the table: the (A, B, sign) with A = {i} + a and
     B the rest of the 5-set {1..6} - {j} after the 2-set a, so that
@@ -204,9 +193,6 @@ def _hitchin_table():
     return tuple(table)
 
 
-_HITCHIN = _hitchin_table()
-
-
 def hitchin_endomorphism(rho):
     """K with K(u) ^ vol = (u . rho) ^ rho under the reference volume.
 
@@ -220,7 +206,7 @@ def hitchin_endomorphism(rho):
     x, y, d, den = read_off([rho.terms.get(t, _ZERO) for t in _TRIPLES6])
     scale = den * den
     rows = []
-    for table_row in _HITCHIN:
+    for table_row in _hitchin_table():
         row = []
         for entry in table_row:
             rat = sum(s * x[a] * x[b] for a, b, s in entry)
@@ -339,13 +325,27 @@ def para_hermitian_form(rho, omega):
     return _symmetrized(omega, cls.endo, _HALF / _sqrt_invariant(cls.invariant))
 
 
+@cache
+def _pfaffian_table():
+    """The 15 perfect matchings {P, Q, R} of {1..6} as (P, Q, R,
+    sign(P, Q, R)), indices into _PAIRS6, so that the Pfaffian is
+    Pf(omega) = sum sign omega_P omega_Q omega_R; omega^3 = 6 Pf(omega) vol."""
+    return tuple(
+        (a, b, c, s)
+        for (a, p), (b, q), (c, r) in combinations(enumerate(_PAIRS6), 3)
+        for s in (sort_signed(p + q + r)[1],)
+        if s
+    )
+
+
 def extension_admissible(rho, omega):
     """Whether theta ^ omega + rho extends rho to a split-type 3-form on
     a 7-space: signature (2,4) of the hermitian pairing on the complex
     side, signature (3,3) plus negative omega^3 on the para side.
 
     Both pairings are S / sqrt|lambda| for S = [omega(K a, b) +
-    omega(K b, a)]/2, so the signature of S decides: no square root."""
+    omega(K b, a)]/2, so the signature of S decides: no square root.
+    omega^3 = 6 Pf(omega) vol, and Pf is taken on the integer read-off."""
     _require(rho, 6, 3, "extension_admissible")
     _require(omega, 6, 2, "extension_admissible")
     cls = classify6(rho)
@@ -356,5 +356,5 @@ def extension_admissible(rho, omega):
         return sig == (2, 4, 0)
     if sig != (3, 3, 0):
         return False
-    cube = omega.wedge(omega).wedge(omega)
-    return top_coefficient(cube).sign() < 0
+    x, y, d, _ = read_off([omega.terms.get(p, _ZERO) for p in _PAIRS6])
+    return to_scalar(*_cubic(x, y, d, _pfaffian_table()), d, 1).sign() < 0

@@ -297,6 +297,88 @@ def wedge_hitchin_endomorphism(rho):
     return Endo.from_columns(cols)
 
 
+# -- the partition-table kernel the 735-monomial cubic replaced, verbatim ----
+# 6 B = C M C^T as a product of a 7 x 21 contraction table and a 21 x 21
+# partition table in ints; over Q(sqrt d) the cubic K was evaluated four
+# times, at X, Y, X + Y and X - Y, and polarised.
+
+_PAIRS7 = tuple(combinations(range(1, 8), 2))
+_TRIPLES7 = tuple(combinations(range(1, 8), 3))
+_UPPER7 = tuple((i, j) for j in range(7) for i in range(j + 1))
+
+
+def _partition_tables():
+    pair_at = {p: k for k, p in enumerate(_PAIRS7)}
+    triple_at = {t: k for k, t in enumerate(_TRIPLES7)}
+    # Row i of C: (A, the 3-set {i} + A, sign of sorting (i, a, b)).
+    contractions = tuple(
+        tuple(
+            (pair_at[p], triple_at[t], s)
+            for p in _PAIRS7
+            for t, s in (sort_signed((i,) + p),)
+            if s
+        )
+        for i in range(1, 8)
+    )
+    # Row A of M: (B, the complement C', sign of the permutation (A, B, C')).
+    partitions = []
+    for a in _PAIRS7:
+        row = []
+        for b in _PAIRS7:
+            if a[0] in b or a[1] in b:
+                continue
+            c = tuple(k for k in range(1, 8) if k not in a and k not in b)
+            row.append((pair_at[b], triple_at[c], sort_signed(a + b + c)[1]))
+        partitions.append(tuple(row))
+    return contractions, tuple(partitions)
+
+
+_CONTRACTIONS, _PARTITIONS = _partition_tables()
+
+
+def _table_product(p):
+    """Entries of C M C^T at the positions _UPPER7, for integer
+    coefficients p indexed like _TRIPLES7."""
+    c = []
+    for row_table in _CONTRACTIONS:
+        row = [0] * 21
+        for a, t, s in row_table:
+            row[a] = s * p[t]
+        c.append(row)
+    m = [
+        [(b, s * p[t]) for b, t, s in row_table if p[t]]
+        for row_table in _PARTITIONS
+    ]
+    out = []
+    for j, cj in enumerate(c):
+        n = [sum(v * cj[b] for b, v in row) for row in m]
+        out.extend(sum(x * y for x, y in zip(ci, n)) for ci in c[: j + 1])
+    return out
+
+
+def partition_induced_bilinear(phi):
+    """induced_bilinear as the partition-table product, polarised over
+    Q(sqrt d): B = (R + sqrt(d) S) / (6 L^3) with R = c0 + d c2 and
+    S = c1 + d c3 read off K(X), K(Y), K(X + Y) and K(X - Y)."""
+    x, y, d, den = read_off([phi.terms.get(t, _ZERO) for t in _TRIPLES7])
+    rat = _table_product(x)
+    rad = [0] * len(_UPPER7)
+    if d:
+        c0 = rat
+        c3 = _table_product(y)
+        plus = _table_product([u + v for u, v in zip(x, y)])
+        minus = _table_product([u - v for u, v in zip(x, y)])
+        c2 = [(p + q) // 2 - r for p, q, r in zip(plus, minus, c0)]
+        c1 = [(p - q) // 2 - r for p, q, r in zip(plus, minus, c3)]
+        rat = [r + d * s for r, s in zip(c0, c2)]
+        rad = [r + d * s for r, s in zip(c1, c3)]
+    scale = 6 * den ** 3
+    rows = [[None] * 7 for _ in range(7)]
+    for (i, j), r, s in zip(_UPPER7, rat, rad):
+        rows[i][j] = rows[j][i] = to_scalar(r, s, d, scale)
+    return SymBilinear(7, rows)
+
+
 # -- the contraction and Gram paths the minor-sum identities replaced, verbatim
 # hitchin_dual read rho(J e_i, e_j, e_k) off six contractions; the plane
 # predicates used a rank test, then the Euclidean Gram matrix, three

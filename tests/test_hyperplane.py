@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from oracles import naive_wedge, rand_glplus
 from stableforms import (
     DimensionError,
     HyperplaneKind,
@@ -7,9 +11,11 @@ from stableforms import (
     NullHyperplaneError,
     Orbit6,
     OrbitError,
+    Scalar,
     classify6,
     extension_admissible,
     hyperplane_split,
+    pullback,
     standard_form,
 )
 from stableforms.exterior import linalg
@@ -63,6 +69,28 @@ def test_all_coordinate_covectors():
         assert s.reconstructed() == SPLIT
         assert s.omega_embedded.contract(s.normal).is_zero
         assert s.rho_embedded.contract(s.normal).is_zero
+
+
+def test_rho_embedded_matches_the_shuffle_wedge():
+    """rho_embedded, taken on the integer read-off, is phi - theta ^ omega
+    by the shuffle wedge on dense forms over Q and Q(sqrt d) and
+    fractional covectors."""
+    rng = random.Random(931)
+    for d in (0, 2, 3, 5):
+        # a positive multiple keeps the split type and its orientation
+        phi = pullback(rand_glplus(rng, 7), SPLIT) * Scalar(Fraction(1, 3), 1, d)
+        done = 0
+        while done < 3:
+            theta = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(7)]
+            if not any(theta):
+                continue
+            try:
+                s = hyperplane_split(phi, theta)
+            except NullHyperplaneError:
+                continue
+            assert s.rho_embedded == phi - naive_wedge(s.theta_form(), s.omega_embedded)
+            assert s.reconstructed() == phi
+            done += 1
 
 
 def test_rescaling_theta_rescales_omega_inversely():

@@ -1,12 +1,20 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import stableforms
 from oracles import (
     float_mat_mul,
     float_matrix,
     naive_induced_bilinear,
+    naive_wedge,
+    partition_induced_bilinear,
     rand_glplus,
     rand_kform,
 )
@@ -35,6 +43,8 @@ from stableforms import (
     top_coefficient,
 )
 from stableforms.exterior import linalg
+from stableforms.exterior._minors import read_off, to_scalar
+from stableforms.geometry import orbits
 from stableforms.geometry.planes import OrientedPlane
 
 RHO_MINUS = standard_form("sl3c")
@@ -82,6 +92,7 @@ def test_induced_bilinear_decomposable_is_zero():
 def assert_matches_oracle(phi):
     b = induced_bilinear(phi)
     assert [list(r) for r in b.entries] == naive_induced_bilinear(phi)
+    assert b == partition_induced_bilinear(phi)
 
 
 def rand_radical_glplus(rng, d):
@@ -127,6 +138,90 @@ def test_induced_bilinear_oracle_fractional_coefficients():
     assert_matches_oracle(pullback(a, standard_form("g2")) * Scalar(Fraction(2, 3)))
     radical = pullback(rand_radical_glplus(rng, 2), standard_form("split_g2"))
     assert_matches_oracle(radical + KForm.basis(7, (1, 5, 7), Scalar(Fraction(1, 6), Fraction(-3, 10), 2)))
+
+
+def field_scalar(rng, d, den=1):
+    """A non-zero element of Q(sqrt d) (of Q when d = 0) with parts p / den."""
+    while True:
+        c = Scalar(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den), d)
+        if c:
+            return c
+
+
+def field_form(rng, dim, degree, d, max_terms, den=1):
+    """A random form with up to max_terms coefficients in Q(sqrt d)."""
+    idx = list(combinations(range(1, dim + 1), degree))
+    picked = rng.sample(idx, rng.randint(1, max_terms))
+    return KForm(dim, degree, {t: field_scalar(rng, d, den) for t in picked})
+
+
+def test_cubic_matches_partition_kernel_over_four_fields():
+    """The 735-monomial cubic equals the partition-table kernel exactly on
+    dense, sparse, degenerate and fractional forms over Q, Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 5)."""
+    rng = random.Random(920)
+    for d in (0, 2, 3, 5):
+        for name in ("g2", "split_g2"):
+            a = rand_radical_glplus(rng, d) if d else rand_glplus(rng, 7)
+            dense = pullback(a, standard_form(name))
+            cases = [
+                dense,
+                dense * field_scalar(rng, d, 7) + field_form(rng, 7, 3, d, 6, den=6),
+                KForm(7, 3, {t: c for t, c in dense.terms.items() if 7 not in t}),
+                field_form(rng, 7, 3, d, 35),
+            ]
+            cases += [field_form(rng, 7, 3, d, rng.randint(1, 8)) for _ in range(4)]
+            cases += [KForm.basis(7, (1, 2, 3), field_scalar(rng, d)), KForm.zero(7, 3)]
+            for phi in cases:
+                b = induced_bilinear(phi)
+                assert b == partition_induced_bilinear(phi)
+            # without index 7 the form kills e_7: B is degenerate
+            assert all(not x for x in induced_bilinear(cases[2]).entries[6])
+            if d:
+                assert any(not c.is_rational for c in dense.terms.values())
+
+
+def test_cubic_table_shape():
+    table = orbits._cubic_table()
+    assert len(table) == 28
+    assert sum(map(len, table)) == 735
+    assert {len(row) for row in table} == {15, 30}
+    assert {c for row in table for *_, c in row} <= {-2, -1, 1, 2}
+    for row in table:
+        # distinct monomials of three distinct 3-sets
+        assert len({frozenset(m[:3]) for m in row}) == len(row)
+        assert all(len(set(m[:3])) == 3 for m in row)
+
+
+def test_import_builds_no_table():
+    """The orbit tables are built on first use: a fresh `import
+    stableforms` runs none of the cached table builders."""
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import stableforms\n"
+        "print(json.dumps({f'{m.__name__}.{n}': f.cache_info().misses\n"
+        "    for m in list(sys.modules.values()) if m.__name__.startswith('stableforms')\n"
+        "    for n, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
+    )
+    src = str(Path(stableforms.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    misses = json.loads(out.stdout)
+    for name in ("_cubic_table", "_hitchin_table", "_pfaffian_table"):
+        assert misses["stableforms.geometry.orbits." + name] == 0
+    assert not any(misses.values())
+
+
+def test_pfaffian_is_a_sixth_of_the_cube():
+    """extension_admissible's Pfaffian against the shuffle wedge omega^3."""
+    rng = random.Random(921)
+    for d in (0, 2, 3, 5):
+        forms = [field_form(rng, 6, 2, d, rng.randint(1, 15), den=rng.randint(1, 6)) for _ in range(6)]
+        forms.append(pullback(rand_glplus(rng, 6), KForm(6, 2, {(1, 4): 1, (2, 5): 1, (3, 6): 1})))
+        for om in forms:
+            x, y, dd, den = read_off([om.terms.get(p, Scalar(0)) for p in orbits._PAIRS6])
+            pf = to_scalar(*orbits._cubic(x, y, dd, orbits._pfaffian_table()), dd, den ** 3)
+            assert pf * Scalar(6) == top_coefficient(naive_wedge(naive_wedge(om, om), om))
 
 
 def test_mixed_radicands_raise():
