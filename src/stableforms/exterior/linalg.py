@@ -20,10 +20,7 @@ from operator import mul
 
 from ..errors import DimensionError
 from ._minors import minor_sums, read_off, to_scalar
-from .scalar import Scalar
-
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
+from .scalar import ONE, ZERO, Scalar
 
 
 def coerce_vector(v):
@@ -39,7 +36,7 @@ def coerce_matrix(rows):
 
 def identity(n):
     return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
+        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
 
 
@@ -115,7 +112,7 @@ def det(m):
     ScalarContextError."""
     m = coerce_matrix(m)
     full = tuple(range(1, _square(m, "det") + 1))
-    return minor_sums({full: _ONE}, m, [full])[0]
+    return minor_sums({full: ONE}, m, [full])[0]
 
 
 def _eliminate(rows, nc, zero, one, step):
@@ -205,8 +202,8 @@ def kernel(m):
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        v = [_ZERO] * nc
-        v[fc] = _ONE
+        v = [ZERO] * nc
+        v[fc] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
@@ -215,7 +212,7 @@ def kernel(m):
 
 def inverse(m):
     n = _square(m, "inverse")
-    aug = [list(m[i]) + [(_ONE if i == j else _ZERO) for j in range(n)] for i in range(n)]
+    aug = [list(m[i]) + [(ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

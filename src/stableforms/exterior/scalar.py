@@ -1,20 +1,20 @@
 """Exact scalars in Q and in real quadratic extensions Q(sqrt(d)).
 
-A Scalar is a + b*sqrt(d) with a, b rational and d a square-free
-non-negative integer; d == 0 encodes a plain rational.  Values carrying
-two different non-trivial radicands cannot be combined -- one radical
-per computation is all the rest of the library needs.  Sign queries are
-answered exactly; floating point never enters.
+A Scalar is (p + q*sqrt(d)) / den with p, q and den Python ints: den > 0,
+gcd(p, q, den) == 1, and d square-free and > 1, or d == 0 with q == 0 for
+a plain rational.  So equal values have equal fields.  Every result is
+built by `to_scalar`, which divides out one gcd; the kernels in `_minors`
+read values off as the same ints.  Values carrying two different
+non-trivial radicands cannot be combined -- one radical per computation
+is all the rest of the library needs (`join_radicands`).  Sign queries
+are answered exactly; floating point never enters.
 """
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from ..errors import ScalarContextError
-
-_ZERO = Fraction(0)
-
 
 # Trial division stops here; past it a radicand is refused, not factored.
 _TRIAL_LIMIT = 1 << 21
@@ -71,92 +71,110 @@ _MIXED = re.compile(rf"(?P<a>{_RAT})(?P<sgn>[+-])(?P<b>{_UNSIGNED})\*sqrt\((?P<d
 _PLAIN = re.compile(_RAT)
 
 
-class Scalar:
-    """An exact number a + b*sqrt(d), immutable after construction."""
+def join_radicands(d, e):
+    """The radicand of a value combining one over Q(sqrt(d)) with one over
+    Q(sqrt(e)), 0 standing for Q; two different non-trivial radicands
+    raise ScalarContextError."""
+    if not e or d == e:
+        return d
+    if not d:
+        return e
+    raise ScalarContextError(f"mixed radicands sqrt({d}) and sqrt({e})")
 
-    __slots__ = ("a", "b", "d")
+
+def to_scalar(p, q, d, den):
+    """The Scalar (p + q*sqrt(d)) / den for ints p, q and den != 0, with d
+    square-free and > 1, or 0 (then q is ignored).  The one constructor of
+    every result: it divides out gcd(p, q, den) and makes den positive."""
+    if not d:
+        q = 0
+    elif not q:
+        d = 0
+    g = gcd(p, q, den)
+    if den < 0:
+        g = -g
+    x = object.__new__(Scalar)
+    if g == 1:
+        x.p, x.q, x.den, x.d = p, q, den, d
+    else:
+        x.p, x.q, x.den, x.d = p // g, q // g, den // g, d
+    return x
+
+
+def _fraction(x):
+    """x as a Fraction: ints and Fractions are the only exact input."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
+class Scalar:
+    """An exact number a + b*sqrt(d), stored as (p + q*sqrt(d)) / den;
+    immutable after construction."""
+
+    __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a=0, b=0, d=0):
-        a = a if type(a) is Fraction else Fraction(a)
-        if b:
-            b = b if type(b) is Fraction else Fraction(b)
-            s, d = square_free_split(int(d))
-            b = b * s
+        a, b = _fraction(a), _fraction(b)
+        if not isinstance(d, int):
+            raise TypeError(f"radicand must be an int, got {d!r}")
+        if b and d:
+            s, d = square_free_split(d)
+            b *= s
             if d == 1:
-                a, b, d = a + b, _ZERO, 0
-            elif d == 0 or b == 0:
-                b, d = _ZERO, 0
+                a, d = a + b, 0
         else:
-            b, d = _ZERO, 0
-        self.a = a
-        self.b = b
+            d = 0
+        den = lcm(a.denominator, b.denominator) if d else a.denominator
+        self.p = a.numerator * (den // a.denominator)
+        self.q = b.numerator * (den // b.denominator) if d else 0
+        self.den = den
         self.d = d
 
-    @classmethod
-    def _rational(cls, a):
-        # internal fast path: a is already a Fraction
-        s = object.__new__(cls)
-        s.a = a
-        s.b = _ZERO
-        s.d = 0
-        return s
+    @property
+    def a(self):
+        """The rational part p / den, as a Fraction."""
+        return Fraction(self.p, self.den)
 
-    @classmethod
-    def _make(cls, a, b, d):
-        # internal fast path: components already canonical (d square-free)
-        s = object.__new__(cls)
-        s.a = a
-        if b and d:
-            s.b = b
-            s.d = d
-        else:
-            s.b = _ZERO
-            s.d = 0
-        return s
+    @property
+    def b(self):
+        """The coefficient q / den of sqrt(d), as a Fraction."""
+        return Fraction(self.q, self.den)
 
     # -- construction helpers ------------------------------------------
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Scalar(x)
-        raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+        return x if isinstance(x, Scalar) else Scalar(x)
 
     @staticmethod
     def sqrt(x):
-        """Exact square root of a non-negative rational."""
-        if isinstance(x, Scalar):
-            if not x.is_rational:
-                raise ScalarContextError("nested radicals are not supported")
-            x = x.a
-        x = Fraction(x)
-        if x < 0:
+        """Exact square root of a non-negative rational: an int, a
+        Fraction or a rational Scalar."""
+        x = Scalar.coerce(x)
+        if x.q:
+            raise ScalarContextError("nested radicals are not supported")
+        if x.p < 0:
             raise ValueError("square root of a negative rational")
-        if x == 0:
-            return Scalar(0)
-        s, d = square_free_split(x.numerator * x.denominator)
-        return Scalar(0, Fraction(s, x.denominator), d)
+        s, d = square_free_split(x.p * x.den)
+        return Scalar(0, Fraction(s, x.den), d)
 
     # -- field arithmetic ----------------------------------------------
-
-    def _join(self, other):
-        if self.d == 0 or other.d == 0 or self.d == other.d:
-            return self.d or other.d
-        raise ScalarContextError(
-            f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
-        )
 
     def __add__(self, other):
         try:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.d == other.d:  # covers the common rational-rational case
-            return Scalar._make(self.a + other.a, self.b + other.b, self.d)
-        d = self._join(other)
-        return Scalar._make(self.a + other.a, self.b + other.b, d)
+        d = self.d if self.d == other.d else join_radicands(self.d, other.d)
+        den, oden = self.den, other.den
+        if den == oden:
+            return to_scalar(self.p + other.p, self.q + other.q, d, den)
+        return to_scalar(
+            self.p * oden + other.p * den, self.q * oden + other.q * den, d, den * oden
+        )
 
     __radd__ = __add__
 
@@ -165,38 +183,43 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.d == other.d:
-            return Scalar._make(self.a - other.a, self.b - other.b, self.d)
-        d = self._join(other)
-        return Scalar._make(self.a - other.a, self.b - other.b, d)
+        d = self.d if self.d == other.d else join_radicands(self.d, other.d)
+        den, oden = self.den, other.den
+        if den == oden:
+            return to_scalar(self.p - other.p, self.q - other.q, d, den)
+        return to_scalar(
+            self.p * oden - other.p * den, self.q * oden - other.q * den, d, den * oden
+        )
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar._make(-self.a, -self.b, self.d)
+        return to_scalar(-self.p, -self.q, self.d, self.den)
 
     def __mul__(self, other):
         try:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.d == 0 and other.d == 0:
-            return Scalar._rational(self.a * other.a)
-        d = self._join(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return Scalar._make(a, b, d)
+        den = self.den * other.den
+        if not (self.d or other.d):
+            return to_scalar(self.p * other.p, 0, 0, den)
+        d = join_radicands(self.d, other.d)
+        p = self.p * other.p + self.q * other.q * d
+        q = self.p * other.q + self.q * other.p
+        return to_scalar(p, q, d, den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        """den / (p + q*sqrt(d)) = den*(p - q*sqrt(d)) / (p*p - q*q*d)."""
+        p, q, d = self.p, self.q, self.d
+        if not (p or q):
             raise ZeroDivisionError("scalar is zero")
-        if self.b == 0:
-            return Scalar._rational(1 / self.a)
-        den = self.a * self.a - self.b * self.b * self.d
-        return Scalar._make(self.a / den, -self.b / den, self.d)
+        if not q:
+            return to_scalar(self.den, 0, 0, p)
+        return to_scalar(self.den * p, -self.den * q, d, p * p - q * q * d)
 
     def __truediv__(self, other):
         try:
@@ -211,7 +234,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        out = Scalar(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -223,16 +246,17 @@ class Scalar:
     # -- exact ordering -------------------------------------------------
 
     def sign(self):
-        """Exact sign in {-1, 0, +1}."""
-        if self.b == 0:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        if self.a == 0:
-            return -1 if self.b < 0 else 1
-        sa = -1 if self.a < 0 else 1
-        sb = -1 if self.b < 0 else 1
+        """Exact sign in {-1, 0, +1}: the sign of p + q*sqrt(d), as den > 0."""
+        p, q = self.p, self.q
+        if not q:
+            return -1 if p < 0 else (1 if p > 0 else 0)
+        if not p:
+            return -1 if q < 0 else 1
+        sa = -1 if p < 0 else 1
+        sb = -1 if q < 0 else 1
         if sa == sb:
             return sa
-        t = self.a * self.a - self.b * self.b * self.d
+        t = p * p - q * q * self.d
         if t > 0:
             return sa
         if t < 0:
@@ -241,10 +265,10 @@ class Scalar:
 
     @property
     def is_rational(self):
-        return self.b == 0
+        return not self.q
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p) or bool(self.q)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -254,10 +278,13 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return (
+            self.p == other.p and self.q == other.q
+            and self.den == other.den and self.d == other.d
+        )
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.q:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
@@ -281,12 +308,12 @@ class Scalar:
     # separator and a bare radical term are also accepted on input).
 
     def __str__(self):
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
         rad = f"{abs(self.b)}*sqrt({self.d})"
-        if self.a == 0:
-            return rad if self.b > 0 else "-" + rad
-        sep = "+" if self.b > 0 else "-"
+        if not self.p:
+            return rad if self.q > 0 else "-" + rad
+        sep = "+" if self.q > 0 else "-"
         return f"{self.a}{sep}{rad}"
 
     def __repr__(self):

@@ -12,10 +12,9 @@ from itertools import combinations
 
 from ..errors import NotCalibratedError, OrbitError
 from ..exterior import KForm, Scalar, _minors, linalg, signature
+from ..exterior.scalar import ZERO
 from .orbits import Orbit7, classify7
 from .planes import OrientedPlane
-
-_ZERO = Scalar(0)
 
 
 def _classified(phi, orbit, what):
@@ -33,7 +32,7 @@ def cross_product(phi, u, v):
     cls = _classified(phi, Orbit7.G2, "cross_product")
     # phi(u, v, e_i) is the i coefficient of v . (u . phi)
     uv = phi.contract(u).contract(v).terms
-    rhs = [uv.get((i,), _ZERO) for i in range(1, 8)]
+    rhs = [uv.get((i,), ZERO) for i in range(1, 8)]
     return linalg.solve(cls.bilinear.entries, rhs)
 
 

@@ -13,7 +13,8 @@ from enum import Enum
 from ..errors import DimensionError, NullHyperplaneError, OrbitError
 from ..exterior import Endo, KForm, basis_vector, linalg
 from ..exterior._minors import read_off, to_scalar
-from .orbits import _PAIRS, _TRIPLES, _ZERO, Orbit7, classify7
+from ..exterior.scalar import ZERO
+from .orbits import _PAIRS, _TRIPLES, Orbit7, classify7
 
 
 class HyperplaneKind(Enum):
@@ -58,9 +59,9 @@ def _minus_theta_wedge(phi, theta, omega):
     denominator L, as (X + sqrt(d) Y) / L, so the result is
     (L X - T ^ W) / L^2, taken in int pairs."""
     x, y, d, den = read_off(
-        [phi.terms.get(t, _ZERO) for t in _TRIPLES]
+        [phi.terms.get(t, ZERO) for t in _TRIPLES]
         + list(theta)
-        + [omega.terms.get(p, _ZERO) for p in _PAIRS]
+        + [omega.terms.get(p, ZERO) for p in _PAIRS]
     )
     y = y or [0] * len(x)
     at = {p: n for n, p in enumerate(_PAIRS, 42)}  # omega after phi, theta

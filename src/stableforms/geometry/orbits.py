@@ -28,6 +28,7 @@ from ..exterior import (
 )
 from ..exterior._minors import read_off, to_scalar
 from ..exterior.forms import sort_signed
+from ..exterior.scalar import ZERO
 from .planes import OrientedPlane
 
 
@@ -73,7 +74,6 @@ _TRIPLES = tuple(combinations(range(1, 8), 3))
 _UPPER = tuple((i, j) for j in range(7) for i in range(j + 1))
 _TRIPLES6 = tuple(combinations(range(1, 7), 3))
 _PAIRS6 = tuple(combinations(range(1, 7), 2))
-_ZERO = Scalar(0)
 _HALF = Scalar(Fraction(1, 2))
 
 
@@ -143,7 +143,7 @@ def induced_bilinear(phi):
     A form carrying two different radicands raises ScalarContextError.
     """
     _require(phi, 7, 3, "induced_bilinear")
-    x, y, d, den = read_off([phi.terms.get(t, _ZERO) for t in _TRIPLES])
+    x, y, d, den = read_off([phi.terms.get(t, ZERO) for t in _TRIPLES])
     scale = 2 * den ** 3
     rows = [[None] * 7 for _ in range(7)]
     for (i, j), monomials in zip(_UPPER, _cubic_table()):
@@ -203,7 +203,7 @@ def hitchin_endomorphism(rho):
     R = sum sign (X_A X_B + d Y_A Y_B) and S = sum sign (X_A Y_B + Y_A X_B).
     A form carrying two different radicands raises ScalarContextError."""
     _require(rho, 6, 3, "hitchin_endomorphism")
-    x, y, d, den = read_off([rho.terms.get(t, _ZERO) for t in _TRIPLES6])
+    x, y, d, den = read_off([rho.terms.get(t, ZERO) for t in _TRIPLES6])
     scale = den * den
     rows = []
     for table_row in _hitchin_table():
@@ -291,11 +291,11 @@ def hitchin_dual(rho):
 def _symmetrized(omega, endo, factor):
     """[omega(K e_i, e_j) + omega(K e_j, e_i)] * factor, reading
     omega(K e_i, e_j) as the j coefficient of (K e_i) . omega."""
-    rows = [[_ZERO] * 6 for _ in range(6)]
+    rows = [[ZERO] * 6 for _ in range(6)]
     cons = [omega.contract(endo.column(i)).terms for i in range(6)]
     for i in range(6):
         for j in range(i, 6):
-            val = (cons[i].get((j + 1,), _ZERO) + cons[j].get((i + 1,), _ZERO)) * factor
+            val = (cons[i].get((j + 1,), ZERO) + cons[j].get((i + 1,), ZERO)) * factor
             rows[i][j] = val
             rows[j][i] = val
     return SymBilinear(6, rows)
@@ -356,5 +356,5 @@ def extension_admissible(rho, omega):
         return sig == (2, 4, 0)
     if sig != (3, 3, 0):
         return False
-    x, y, d, _ = read_off([omega.terms.get(p, _ZERO) for p in _PAIRS6])
+    x, y, d, _ = read_off([omega.terms.get(p, ZERO) for p in _PAIRS6])
     return to_scalar(*_cubic(x, y, d, _pfaffian_table()), d, 1).sign() < 0

@@ -10,10 +10,9 @@ is positive.
 from itertools import combinations
 
 from ..errors import DimensionError
-from ..exterior import Scalar, linalg
+from ..exterior import linalg
 from ..exterior._minors import minor_sums
-
-_ONE = Scalar(1)
+from ..exterior.scalar import ONE
 
 
 class OrientedPlane:
@@ -28,7 +27,7 @@ class OrientedPlane:
         if any(len(v) != dim for v in vecs):
             raise DimensionError("vector length does not match dimension")
         cols = list(combinations(range(1, dim + 1), 3))
-        trivector = tuple(minor_sums({(1, 2, 3): _ONE}, vecs, cols))
+        trivector = tuple(minor_sums({(1, 2, 3): ONE}, vecs, cols))
         if not any(trivector):
             raise DimensionError("plane vectors are linearly dependent")
         self.dim = dim

@@ -16,15 +16,17 @@ from stableforms import (
     Orbit6,
     OrbitError,
     Scalar,
+    ScalarContextError,
     Signature,
     SymBilinear,
     classify6,
     hitchin_endomorphism,
     top_coefficient,
 )
-from stableforms.exterior import linalg
+from stableforms.exterior import linalg, square_free_split
 from stableforms.exterior._minors import read_off, to_scalar
 from stableforms.exterior.forms import merge_signed, sort_signed
+from stableforms.exterior.scalar import _MIXED, _PLAIN, _PURE
 from stableforms.f2 import q_pochhammer
 from stableforms.torus import GaussQ
 
@@ -1077,6 +1079,261 @@ def dict_cylinder_extension(rho, omega):
         + rho.with_t()
         + omega.d().with_t().scale(t)
     )
+
+
+# -- the Fraction-pair Scalar that int numerators over one denominator
+# replaced, verbatim ---------------------------------------------------------
+# It stored a + b*sqrt(d) as two Fractions a and b, built results through
+# `_make`/`_rational`, and its constructor took whatever `Fraction()` takes,
+# floats and strings too.
+# Only the names differ: the class is `FractionScalar` and its Fraction zero
+# `_FRACTION_ZERO`.  `fraction_scalar` copies a library value into it.
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def fraction_scalar(x):
+    return FractionScalar(x.a, x.b, x.d)
+
+
+class FractionScalar:
+    """An exact number a + b*sqrt(d), immutable after construction."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a=0, b=0, d=0):
+        a = a if type(a) is Fraction else Fraction(a)
+        if b:
+            b = b if type(b) is Fraction else Fraction(b)
+            s, d = square_free_split(int(d))
+            b = b * s
+            if d == 1:
+                a, b, d = a + b, _FRACTION_ZERO, 0
+            elif d == 0 or b == 0:
+                b, d = _FRACTION_ZERO, 0
+        else:
+            b, d = _FRACTION_ZERO, 0
+        self.a = a
+        self.b = b
+        self.d = d
+
+    @classmethod
+    def _rational(cls, a):
+        # internal fast path: a is already a Fraction
+        s = object.__new__(cls)
+        s.a = a
+        s.b = _FRACTION_ZERO
+        s.d = 0
+        return s
+
+    @classmethod
+    def _make(cls, a, b, d):
+        # internal fast path: components already canonical (d square-free)
+        s = object.__new__(cls)
+        s.a = a
+        if b and d:
+            s.b = b
+            s.d = d
+        else:
+            s.b = _FRACTION_ZERO
+            s.d = 0
+        return s
+
+    # -- construction helpers ------------------------------------------
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, FractionScalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionScalar(x)
+        raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+    @staticmethod
+    def sqrt(x):
+        """Exact square root of a non-negative rational."""
+        if isinstance(x, FractionScalar):
+            if not x.is_rational:
+                raise ScalarContextError("nested radicals are not supported")
+            x = x.a
+        x = Fraction(x)
+        if x < 0:
+            raise ValueError("square root of a negative rational")
+        if x == 0:
+            return FractionScalar(0)
+        s, d = square_free_split(x.numerator * x.denominator)
+        return FractionScalar(0, Fraction(s, x.denominator), d)
+
+    # -- field arithmetic ----------------------------------------------
+
+    def _join(self, other):
+        if self.d == 0 or other.d == 0 or self.d == other.d:
+            return self.d or other.d
+        raise ScalarContextError(
+            f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
+        )
+
+    def __add__(self, other):
+        try:
+            other = FractionScalar.coerce(other)
+        except TypeError:
+            return NotImplemented
+        if self.d == other.d:  # covers the common rational-rational case
+            return FractionScalar._make(self.a + other.a, self.b + other.b, self.d)
+        d = self._join(other)
+        return FractionScalar._make(self.a + other.a, self.b + other.b, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        try:
+            other = FractionScalar.coerce(other)
+        except TypeError:
+            return NotImplemented
+        if self.d == other.d:
+            return FractionScalar._make(self.a - other.a, self.b - other.b, self.d)
+        d = self._join(other)
+        return FractionScalar._make(self.a - other.a, self.b - other.b, d)
+
+    def __rsub__(self, other):
+        return FractionScalar.coerce(other) - self
+
+    def __neg__(self):
+        return FractionScalar._make(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        try:
+            other = FractionScalar.coerce(other)
+        except TypeError:
+            return NotImplemented
+        if self.d == 0 and other.d == 0:
+            return FractionScalar._rational(self.a * other.a)
+        d = self._join(other)
+        a = self.a * other.a + self.b * other.b * d
+        b = self.a * other.b + self.b * other.a
+        return FractionScalar._make(a, b, d)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("scalar is zero")
+        if self.b == 0:
+            return FractionScalar._rational(1 / self.a)
+        den = self.a * self.a - self.b * self.b * self.d
+        return FractionScalar._make(self.a / den, -self.b / den, self.d)
+
+    def __truediv__(self, other):
+        try:
+            other = FractionScalar.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return FractionScalar.coerce(other) * self.inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
+        out = FractionScalar(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- exact ordering -------------------------------------------------
+
+    def sign(self):
+        """Exact sign in {-1, 0, +1}."""
+        if self.b == 0:
+            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
+        if self.a == 0:
+            return -1 if self.b < 0 else 1
+        sa = -1 if self.a < 0 else 1
+        sb = -1 if self.b < 0 else 1
+        if sa == sb:
+            return sa
+        t = self.a * self.a - self.b * self.b * self.d
+        if t > 0:
+            return sa
+        if t < 0:
+            return sb
+        return 0
+
+    @property
+    def is_rational(self):
+        return self.b == 0
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __eq__(self, other):
+        try:
+            other = FractionScalar.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __lt__(self, other):
+        return (self - FractionScalar.coerce(other)).sign() < 0
+
+    def __le__(self, other):
+        return (self - FractionScalar.coerce(other)).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - FractionScalar.coerce(other)).sign() > 0
+
+    def __ge__(self, other):
+        return (self - FractionScalar.coerce(other)).sign() >= 0
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * float(self.d) ** 0.5
+
+    # -- serialization ----------------------------------------------------
+    # Grammar: "p/q" for rationals, "p/q+r/s*sqrt(d)" otherwise (the "-"
+    # separator and a bare radical term are also accepted on input).
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        rad = f"{abs(self.b)}*sqrt({self.d})"
+        if self.a == 0:
+            return rad if self.b > 0 else "-" + rad
+        sep = "+" if self.b > 0 else "-"
+        return f"{self.a}{sep}{rad}"
+
+    def __repr__(self):
+        return f"FractionScalar({str(self)!r})"
+
+    @staticmethod
+    def parse(text):
+        if not isinstance(text, str):
+            raise TypeError(f"scalar literal must be a string, got {text!r}")
+        s = text.replace(" ", "")
+        m = _MIXED.fullmatch(s)
+        if m:
+            b = Fraction(m.group("b"))
+            if m.group("sgn") == "-":
+                b = -b
+            return FractionScalar(Fraction(m.group("a")), b, int(m.group("d")))
+        m = _PURE.fullmatch(s)
+        if m:
+            return FractionScalar(0, Fraction(m.group("b")), int(m.group("d")))
+        if _PLAIN.fullmatch(s):
+            return FractionScalar(Fraction(s))
+        raise ValueError(f"malformed scalar literal {text!r}")
 
 
 # -- random generators -----------------------------------------------------

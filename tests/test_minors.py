@@ -5,6 +5,7 @@ exact equality with the Scalar elimination, the per-minor Scalar loops,
 the contraction and Gram paths and the contract-and-wedge construction
 they replaced."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -119,6 +120,24 @@ def test_dense_pullbacks_match_loops():
             vectors = [[number(rng, d) for _ in range(n)] for _ in range(3)]
             g = metric(rng, n, d) if n == 7 else None
             check_all(form, glplus(rng, n, d), vectors, g, KForm.basis(n, tuple(range(1, n + 1))))
+
+
+def test_minor_sums_leave_no_reference_cycle():
+    # Each call's sub-minor memo must be freed when the call returns, not
+    # when the cyclic collector next runs: the dense workloads' peak RSS
+    # grew with the garbage that recursive closures left behind.
+    rng = random.Random(62)
+    model = standard_form("g2")
+    matrices = [glplus(rng, 7, d) for d in RADICANDS]
+    gc.collect()
+    gc.disable()
+    try:
+        for a in matrices:
+            model.pullback(a)
+            linalg.det(a)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fractional_and_sparse_forms_match_loops():
