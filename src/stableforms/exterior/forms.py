@@ -14,12 +14,11 @@ term and drops a zero sum, and `_canonical_terms`, `_sum_terms` and
 """
 
 import json
-from itertools import combinations
 
 from ..errors import DegenerateMetricError, DimensionError
 from . import linalg
 from ._minors import minor_sums, read_off, to_scalar
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 
 MAX_DIM = 8
 
@@ -160,8 +159,8 @@ class KForm:
         vecs = [linalg.coerce_vector(v) for v in vectors]
         if any(len(v) != self.dim for v in vecs):
             raise DimensionError("vector length does not match dimension")
-        cols = tuple(range(1, self.degree + 1))
-        return minor_sums(self.terms, linalg.transpose(vecs), [cols])[0]
+        full = tuple(range(1, self.degree + 1))
+        return minor_sums(self.terms, linalg.transpose(vecs)).get(full, ZERO)
 
     # -- linear structure --------------------------------------------------
 
@@ -247,11 +246,9 @@ class KForm:
         the coefficient at J is the minor sum Σ_I c_I det(A[I][J])."""
         rows = getattr(matrix, "entries", matrix)
         rows = linalg.coerce_matrix(rows)
-        if len(rows) != self.dim:
+        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise DimensionError("matrix size does not match dimension")
-        cols = list(combinations(range(1, self.dim + 1), self.degree))
-        values = minor_sums(self.terms, rows, cols)
-        return KForm._trusted(self.dim, self.degree, {j: v for j, v in zip(cols, values) if v})
+        return KForm._trusted(self.dim, self.degree, minor_sums(self.terms, rows))
 
     # -- serialization ------------------------------------------------------
 

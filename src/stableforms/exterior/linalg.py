@@ -4,7 +4,8 @@ Matrices are tuples of row tuples.  Dimensions stay tiny (at most 8).
 Every routine reads its entries off as integers with `_minors.read_off`
 (Python ints over Q, int pairs p + q sqrt(d) over Q(sqrt(d))), works in
 those and builds Scalars only for its result:
-- `det` is the top-degree minor sum of `_minors.minor_sums`;
+- `det` is the top-degree minor sum of `_minors.minor_sums`, the
+  wedge of the n rows taken one row at a time;
 - `mat_mul`, `mat_vec` and `gram` share one integer matrix product;
 - `rref` is fraction-free Gauss-Jordan elimination, behind `rank`,
   `kernel`, `inverse` and `solve`; its row steps also drive the
@@ -24,7 +25,12 @@ from .scalar import ONE, ZERO, Scalar
 
 
 def coerce_vector(v):
-    return tuple(Scalar.coerce(x) for x in v)
+    """v as a tuple of Scalars; a vector whose entries all are Scalars
+    is kept as it is."""
+    v = tuple(v)
+    if {Scalar}.issuperset(map(type, v)):
+        return v
+    return tuple(map(Scalar.coerce, v))
 
 
 def coerce_matrix(rows):
@@ -107,12 +113,12 @@ def _square(m, what):
 
 def det(m):
     """Determinant of a square matrix: the one minor sum of the
-    top-degree form, taken in ints by `_minors.minor_sums` (1 for the
-    0 x 0 matrix).  Entries must share one radicand, else
-    ScalarContextError."""
+    top-degree form, the wedge of its rows taken in ints by
+    `_minors.minor_sums` (1 for the 0 x 0 matrix).  Entries must share
+    one radicand, else ScalarContextError."""
     m = coerce_matrix(m)
     full = tuple(range(1, _square(m, "det") + 1))
-    return minor_sums({full: ONE}, m, [full])[0]
+    return minor_sums({full: ONE}, m).get(full, ZERO)
 
 
 def _eliminate(rows, nc, zero, one, step):

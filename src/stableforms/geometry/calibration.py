@@ -8,8 +8,6 @@ oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.  The
 swap inverts nothing: it reuses det(B|_C) as the denominator of its minors.
 """
 
-from itertools import combinations
-
 from ..errors import NotCalibratedError, OrbitError
 from ..exterior import KForm, Scalar, _minors, linalg, signature
 from ..exterior.scalar import ZERO
@@ -85,9 +83,8 @@ def calibrated_swap(phi, plane):
         raise NotCalibratedError(f"plane is not {kind} for this form")
     val, det_gram = found
     w = linalg.mat_mul(plane.vectors, cls.bilinear.entries)
-    cols = list(combinations(range(1, 8), 3))
-    minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2) / det_gram}, w, cols)
-    return KForm(7, 3, {idx: c for idx, c in zip(cols, minors) if c}) - phi
+    minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2) / det_gram}, w)
+    return KForm._trusted(7, 3, minors) - phi
 
 
 def plane_from_cross(phi, u, v):

@@ -5,14 +5,21 @@ carries theta ^ omega + rho with omega = u0 . phi and rho the part of
 phi not involving the B-orthogonal direction u0 (normalized so that
 theta(u0) = 1).  The hyperplane is spacelike/timelike by the sign of
 B_phi on u0; null hyperplanes admit no such splitting.
+
+On the hyperplane, omega and rho are the restrictions of u0 . phi and of
+phi to the kernel basis b of theta, one minor sum each.
+`linalg.kernel([theta])` gives b_f = e_f - (theta_f / theta_p) e_p for
+the first non-zero theta_p, so det[u0 | b] = (-1)^(p - 1) / theta_p
+(p counted from 1) orients the frame without a determinant; b_1 is
+negated when that is negative.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import DimensionError, NullHyperplaneError, OrbitError
-from ..exterior import Endo, KForm, basis_vector, linalg
-from ..exterior._minors import read_off, to_scalar
+from ..exterior import Endo, KForm, linalg
+from ..exterior._minors import minor_sums, read_off, to_scalar
 from ..exterior.scalar import ZERO
 from .orbits import _PAIRS, _TRIPLES, Orbit7, classify7
 
@@ -41,15 +48,6 @@ class HyperplaneSplit:
     def reconstructed(self):
         """theta ^ omega + rho, re-embedded; equals the split form."""
         return self.theta_form().wedge(self.omega_embedded) + self.rho_embedded
-
-
-def _drop_index_one(form):
-    kept = {
-        tuple(i - 1 for i in idx): c
-        for idx, c in form.terms.items()
-        if 1 not in idx
-    }
-    return KForm(6, form.degree, kept)
 
 
 def _minus_theta_wedge(phi, theta, omega):
@@ -96,15 +94,10 @@ def hyperplane_split(phi, theta):
     u0 = tuple(x / norm for x in u)
 
     kernel_basis = linalg.kernel([theta])
-    cols = [u0] + kernel_basis
-    frame = Endo.from_columns(cols)
-    if frame.det().sign() < 0:
+    p = next(i for i, t in enumerate(theta) if t)  # counted from 0 here
+    if theta[p].sign() != (-1) ** p:
         kernel_basis[0] = tuple(-x for x in kernel_basis[0])
-        frame = Endo.from_columns([u0] + kernel_basis)
-
-    in_frame = phi.pullback(frame)
-    omega6 = _drop_index_one(in_frame.contract(basis_vector(7, 1)))
-    rho6 = _drop_index_one(in_frame)
+    basis = linalg.transpose(kernel_basis)
 
     omega_embedded = phi.contract(u0)
     rho_embedded = _minus_theta_wedge(phi, theta, omega_embedded)
@@ -113,9 +106,9 @@ def hyperplane_split(phi, theta):
         kind=kind,
         theta=theta,
         normal=u0,
-        frame=frame,
-        omega=omega6,
-        rho=rho6,
+        frame=Endo.from_columns([u0] + kernel_basis),
+        omega=KForm._trusted(6, 2, minor_sums(omega_embedded.terms, basis)),
+        rho=KForm._trusted(6, 3, minor_sums(phi.terms, basis)),
         omega_embedded=omega_embedded,
         rho_embedded=rho_embedded,
     )

@@ -1,7 +1,8 @@
 """Oriented 3-planes given by an ordered, exactly-independent basis.
 
 A plane keeps its trivector v1 ^ v2 ^ v3, the 3x3 minors of the basis
-(Plucker coordinates), as one minor sum.  The basis is independent when
+(Plucker coordinates) in `combinations` order of the column triples,
+read off one minor sum.  The basis is independent when
 the trivector is non-zero; two planes span the same 3-space when their
 trivectors are proportional, with the same orientation when the factor
 is positive.
@@ -12,7 +13,7 @@ from itertools import combinations
 from ..errors import DimensionError
 from ..exterior import linalg
 from ..exterior._minors import minor_sums
-from ..exterior.scalar import ONE
+from ..exterior.scalar import ONE, ZERO
 
 
 class OrientedPlane:
@@ -26,13 +27,12 @@ class OrientedPlane:
             raise DimensionError("an oriented plane needs exactly 3 vectors")
         if any(len(v) != dim for v in vecs):
             raise DimensionError("vector length does not match dimension")
-        cols = list(combinations(range(1, dim + 1), 3))
-        trivector = tuple(minor_sums({(1, 2, 3): ONE}, vecs, cols))
-        if not any(trivector):
+        minors = minor_sums({(1, 2, 3): ONE}, vecs)
+        if not minors:
             raise DimensionError("plane vectors are linearly dependent")
         self.dim = dim
         self.vectors = vecs
-        self.trivector = trivector
+        self.trivector = tuple(minors.get(j, ZERO) for j in combinations(range(1, dim + 1), 3))
 
     def basis_matrix(self):
         """3 x dim matrix with the basis vectors as rows."""

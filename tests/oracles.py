@@ -12,21 +12,28 @@ from itertools import combinations, permutations
 from stableforms import (
     DimensionError,
     Endo,
+    HyperplaneKind,
+    HyperplaneSplit,
     KForm,
+    NullHyperplaneError,
     Orbit6,
+    Orbit7,
     OrbitError,
     Scalar,
     ScalarContextError,
     Signature,
     SymBilinear,
+    basis_vector,
     classify6,
+    classify7,
     hitchin_endomorphism,
     top_coefficient,
 )
 from stableforms.exterior import linalg, square_free_split
 from stableforms.exterior._minors import read_off, to_scalar
 from stableforms.exterior.forms import merge_signed, sort_signed
-from stableforms.exterior.scalar import _MIXED, _PLAIN, _PURE
+from stableforms.exterior.scalar import ZERO, _MIXED, _PLAIN, _PURE
+from stableforms.geometry.hyperplane import _minus_theta_wedge
 from stableforms.f2 import q_pochhammer
 from stableforms.torus import GaussQ
 
@@ -297,6 +304,186 @@ def wedge_hitchin_endomorphism(rho):
             col.append(c)
         cols.append(col)
     return Endo.from_columns(cols)
+
+
+# -- the Laplace minor kernel that the Horner wedge pass replaced, verbatim --
+# minor_sums expanded each k x k minor along its first row, recursively,
+# memoising the sub-minors per call, in ints or in int pairs, and returned
+# a list of sums, one per column tuple in `cols`.  Only the name differs:
+# here it is `laplace_minor_sums`.
+
+
+def _int_minor(m, memo, rows, cols):
+    """det(m[rows][cols]) of the int matrix m: written out up to 2 x 2,
+    memoised in memo from 3 x 3.  The recursion runs through module
+    functions, not closures, so no reference cycle outlives a call."""
+    if len(rows) == 2:
+        a, b = m[rows[0]], m[rows[1]]
+        i, j = cols
+        return a[i] * b[j] - a[j] * b[i]
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    key = (rows, cols)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _int_expand(m, memo, rows, cols)
+    return v
+
+
+def _int_expand(m, memo, rows, cols):
+    """det(m[rows][cols]) by Laplace expansion along the first row,
+    memoising the sub-minors only."""
+    first, rest = m[rows[0]], rows[1:]
+    v = 0
+    for p, c in enumerate(cols):
+        e = first[c]
+        if e:
+            t = e * _int_minor(m, memo, rest, cols[:p] + cols[p + 1 :])
+            v = v - t if p & 1 else v + t
+    return v
+
+
+def _pair_minor(m, d, memo, rows, cols):
+    """As _int_minor, for a matrix of int pairs (p, q) = p + q sqrt(d);
+    every minor from 2 x 2 up is memoised."""
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    key = (rows, cols)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _pair_expand(m, d, memo, rows, cols)
+    return v
+
+
+def _pair_expand(m, d, memo, rows, cols):
+    """As _int_expand, over int pairs."""
+    first, rest = m[rows[0]], rows[1:]
+    v0 = v1 = 0
+    for p, c in enumerate(cols):
+        e0, e1 = first[c]
+        if e0 or e1:
+            s0, s1 = _pair_minor(m, d, memo, rest, cols[:p] + cols[p + 1 :])
+            t0 = e0 * s0
+            t1 = e0 * s1
+            if e1:
+                t0 += d * e1 * s1
+                t1 += e1 * s0
+            if p & 1:
+                v0 -= t0
+                v1 -= t1
+            else:
+                v0 += t0
+                v1 += t1
+    return v0, v1
+
+
+def laplace_minor_sums(terms, matrix, cols):
+    """[Σ_I c_I det(matrix[I][J]) for J in cols] as Scalars.
+
+    `terms` maps increasing 1-based row tuples I, all of one length k, to
+    Scalars c_I; `matrix` is a sequence of rows of Scalars; each J is an
+    increasing 1-based tuple of k columns.  Degree 0 gives the constant
+    term for every J.  The k x k minors are built by Laplace expansion,
+    memoising only the smaller sub-minors.  Coefficients and matrix must
+    share one radicand, else ScalarContextError."""
+    items = [(idx, c) for idx, c in terms.items() if c]
+    if not items:
+        return [ZERO] * len(cols)
+    k = len(items[0][0])
+    if k == 0:
+        return [items[0][1]] * len(cols)
+    x, y, d, cden = read_off([c for _, c in items])
+    flat = [e for row in matrix for e in row]
+    mx, my, d, mden = read_off(flat, d)
+    if my is not None:
+        mx = list(zip(mx, my))
+    width = len(matrix[0])
+    m = [mx[i : i + width] for i in range(0, len(mx), width)]
+    rows = [tuple(i - 1 for i in idx) for idx, _ in items]
+    den = cden * mden**k
+    memo = {}
+    out = []
+    for big in cols:
+        js = tuple(j - 1 for j in big)
+        if k == 1:
+            dets = [m[r][js[0]] for r, in rows]
+        elif my is None:
+            dets = [_int_expand(m, memo, r, js) for r in rows]
+        else:
+            dets = [_pair_expand(m, d, memo, r, js) for r in rows]
+        if my is None:
+            rat = sum(a * b for a, b in zip(x, dets))
+            rad = sum(a * b for a, b in zip(y, dets)) if y else 0
+        else:
+            rat = sum(a * b0 for a, (b0, _) in zip(x, dets))
+            rad = sum(a * b1 for a, (_, b1) in zip(x, dets))
+            if y:
+                rat += d * sum(a * b1 for a, (_, b1) in zip(y, dets))
+                rad += sum(a * b0 for a, (b0, _) in zip(y, dets))
+        out.append(to_scalar(rat, rad, d, den))
+    return out
+
+
+# -- the frame-pullback hyperplane split that restriction by minor sums
+# replaced, verbatim ----------------------------------------------------------
+# hyperplane_split built the 7 x 7 frame [u0 | kernel basis], took its
+# determinant to orient it, pulled phi back along it, and dropped the
+# index 1 from the pullback and from its contraction by e_1.  Only the
+# name differs: here it is `frame_hyperplane_split`.
+
+
+def _drop_index_one(form):
+    kept = {
+        tuple(i - 1 for i in idx): c
+        for idx, c in form.terms.items()
+        if 1 not in idx
+    }
+    return KForm(6, form.degree, kept)
+
+
+def frame_hyperplane_split(phi, theta):
+    """Split a split-type 3-form along the kernel of the covector theta."""
+    cls = classify7(phi)
+    if cls.orbit is not Orbit7.G2_TILDE or not cls.standard_orientation:
+        raise OrbitError(f"hyperplane split needs a split-type form, got {cls.orbit.value}")
+    theta = linalg.coerce_vector(theta)
+    if len(theta) != 7:
+        raise DimensionError("covector must have 7 components")
+    if not any(theta):
+        raise DimensionError("covector is zero")
+    b = cls.bilinear
+    u = linalg.solve(b.entries, theta)  # B(u, .) = theta
+    norm = b.apply(u, u)                # equals theta(u)
+    s = norm.sign()
+    if s == 0:
+        raise NullHyperplaneError("hyperplane is null for the induced metric")
+    kind = HyperplaneKind.SPACELIKE if s > 0 else HyperplaneKind.TIMELIKE
+    u0 = tuple(x / norm for x in u)
+
+    kernel_basis = linalg.kernel([theta])
+    cols = [u0] + kernel_basis
+    frame = Endo.from_columns(cols)
+    if frame.det().sign() < 0:
+        kernel_basis[0] = tuple(-x for x in kernel_basis[0])
+        frame = Endo.from_columns([u0] + kernel_basis)
+
+    in_frame = phi.pullback(frame)
+    omega6 = _drop_index_one(in_frame.contract(basis_vector(7, 1)))
+    rho6 = _drop_index_one(in_frame)
+
+    omega_embedded = phi.contract(u0)
+    rho_embedded = _minus_theta_wedge(phi, theta, omega_embedded)
+
+    return HyperplaneSplit(
+        kind=kind,
+        theta=theta,
+        normal=u0,
+        frame=frame,
+        omega=omega6,
+        rho=rho6,
+        omega_embedded=omega_embedded,
+        rho_embedded=rho_embedded,
+    )
 
 
 # -- the partition-table kernel the 735-monomial cubic replaced, verbatim ----

@@ -147,6 +147,19 @@ def test_pullback_identity_and_scaling():
     assert pullback(two, E(7, (1, 2, 3))) == KForm(7, 3, {(1, 2, 3): 8})
 
 
+def test_pullback_refuses_a_non_square_matrix():
+    form = KForm(3, 2, {(1, 2): 1, (2, 3): Fraction(1, 2)})
+    wide = [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 4]]
+    narrow = [[1, 0], [0, 1], [1, 1]]
+    for matrix in (wide, narrow, narrow[:2], [row[:3] for row in wide] + [[0, 0, 1]]):
+        with pytest.raises(DimensionError):
+            form.pullback(matrix)
+        with pytest.raises(DimensionError):
+            pullback(matrix, form)
+    square = [row[:3] for row in wide]
+    assert form.pullback(square) == form
+
+
 def test_pullback_sign_flip_relates_the_two_stable_forms():
     # (Id + -Id on e1 + <e2..e7>) carries the split model form onto the
     # reflected form 2*phi|_C - phi across C = <e1,e2,e3>.

@@ -1,9 +1,11 @@
 """The integer minor-sum kernel behind linalg.det, KForm.evaluate,
-KForm.pullback, hodge_star, calibrated_swap, hitchin_dual and the
-OrientedPlane predicates, and the table-built Hitchin endomorphism:
-exact equality with the Scalar elimination, the per-minor Scalar loops,
-the contraction and Gram paths and the contract-and-wedge construction
-they replaced."""
+KForm.pullback, hodge_star, calibrated_swap, hitchin_dual, the
+hyperplane split and the OrientedPlane predicates, and the table-built
+Hitchin endomorphism: exact equality of the Horner wedge pass with the
+Laplace kernel it replaced, over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5),
+and with the Scalar elimination, the per-minor Scalar loops, the
+contraction and Gram paths and the contract-and-wedge construction
+before them."""
 
 import gc
 import random
@@ -16,6 +18,7 @@ from oracles import (
     contraction_hitchin_dual,
     elimination_det,
     gram_same_oriented,
+    laplace_minor_sums,
     loop_evaluate,
     loop_hodge_star,
     loop_pullback,
@@ -36,10 +39,13 @@ from stableforms import (
     hitchin_dual,
     hitchin_endomorphism,
     hodge_star,
+    hyperplane_split,
     standard_form,
 )
 from stableforms.exterior import linalg
-from stableforms.exterior._minors import read_off
+from stableforms.exterior._minors import minor_sums, read_off
+from stableforms.exterior.forms import merge_signed
+from stableforms.exterior.scalar import ONE
 from stableforms.geometry.planes import OrientedPlane
 
 RADICANDS = (0, 2, 3, 5)
@@ -89,11 +95,39 @@ def metric(rng, n, d):
             return SymBilinear(n, rows)
 
 
+def check_kernel(terms, matrix):
+    """minor_sums against the Laplace kernel it replaced, on every column
+    tuple of the matrix; returns the sums."""
+    matrix = linalg.coerce_matrix(matrix)
+    cols = list(combinations(range(1, len(matrix[0]) + 1), len(next(iter(terms), ()))))
+    got = minor_sums(terms, matrix)
+    assert got == {j: v for j, v in zip(cols, laplace_minor_sums(terms, matrix, cols)) if v}
+    assert all(type(v) is Scalar and v for v in got.values())
+    return got
+
+
+def complement(form):
+    """The Euclidean complement a_{I^c} = sign(I, I^c) c_I that hodge_star
+    pulls back."""
+    full = range(1, form.dim + 1)
+    out = {}
+    for left, c in form.terms.items():
+        right = tuple(i for i in full if i not in left)
+        out[right] = c if merge_signed(left, right)[1] > 0 else -c
+    return out
+
+
 def check_all(form, matrix, vectors, g=None, vol=None):
+    """pullback, evaluate and hodge_star against the per-minor loops, and
+    the minor sum behind each against the Laplace kernel."""
     assert form.pullback(matrix) == loop_pullback(form, matrix)
     assert form.evaluate(*vectors) == loop_evaluate(form, *vectors)
+    check_kernel(form.terms, matrix)
+    if vectors:
+        check_kernel(form.terms, linalg.transpose(linalg.coerce_matrix(vectors)))
     if g is not None:
         assert hodge_star(g, vol, form) == loop_hodge_star(g, vol, form)
+        check_kernel(complement(form), g.entries)
 
 
 def test_read_off_is_exact():
@@ -123,21 +157,106 @@ def test_dense_pullbacks_match_loops():
 
 
 def test_minor_sums_leave_no_reference_cycle():
-    # Each call's sub-minor memo must be freed when the call returns, not
-    # when the cyclic collector next runs: the dense workloads' peak RSS
-    # grew with the garbage that recursive closures left behind.
+    # Every list and dict of a kernel call must be freed when the call
+    # returns, not when the cyclic collector next runs: the dense
+    # workloads' peak RSS once grew with the per-call sub-minor memos
+    # that recursive closures kept alive.
     rng = random.Random(62)
-    model = standard_form("g2")
-    matrices = [glplus(rng, 7, d) for d in RADICANDS]
+    model, split = standard_form("g2"), standard_form("split_g2")
+    cases = []
+    for d in RADICANDS:
+        a = glplus(rng, 7, d)
+        vectors = [[number(rng, d) for _ in range(7)] for _ in range(3)]
+        # the covector e7 A of A* split_g2 is timelike, as e7 is for split_g2
+        cases.append((a, vectors, metric(rng, 7, d), model.pullback(a), split.pullback(a), a[6]))
+    vol = KForm.basis(7, tuple(range(1, 8)))
     gc.collect()
     gc.disable()
     try:
-        for a in matrices:
+        for a, vectors, g, phi, psi, theta in cases:
             model.pullback(a)
             linalg.det(a)
+            phi.evaluate(*vectors)
+            OrientedPlane(7, vectors)
+            hodge_star(g, vol, phi)
+            hyperplane_split(psi, theta)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def sparse_number(rng, d):
+    """number(rng, d), zero about a quarter of the time and rational about
+    a third of the time, so both halves of the int pairs meet zeros."""
+    if rng.random() < 0.25:
+        return Scalar(0)
+    return number(rng, d if rng.random() < 0.67 else 0)
+
+
+def test_minor_sums_match_laplace_in_every_degree_and_dimension():
+    """Every degree k <= n on n <= 8 rows, on matrices as wide as n, as k,
+    narrower than k or of a random width, with rational or radical
+    coefficients on rational or radical matrices."""
+    rng = random.Random(69)
+    for d in RADICANDS:
+        fields = (0, d) if d else (0,)
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for cd in fields:
+                    for md in fields:
+                        terms = {idx: sparse_number(rng, cd) for idx in combinations(range(1, n + 1), k)}
+                        width = rng.choice((n, n, k, max(k - 1, 1), rng.randint(1, 8)))
+                        matrix = [[sparse_number(rng, md) for _ in range(width)] for _ in range(n)]
+                        check_kernel(terms, matrix)
+
+
+def test_minor_sums_split_radical_halves():
+    """Rational coefficients on a radical matrix and radical coefficients
+    on a rational matrix: the missing half of each is zero, not a copy of
+    the rational half."""
+    rng = random.Random(70)
+    for d in RADICANDS[1:]:
+        for n, k in ((3, 2), (6, 3), (7, 3), (8, 4)):
+            idxs = list(combinations(range(1, n + 1), k))
+            rational = {idx: number(rng, 0) for idx in idxs}
+            radical = {idx: number(rng, d) + Scalar(0, 1, d) for idx in idxs}
+            flat = [[number(rng, 0) for _ in range(n)] for _ in range(n)]
+            surd = [[number(rng, d) + Scalar(0, 1, d) for _ in range(n)] for _ in range(n)]
+            for terms, matrix in ((rational, surd), (radical, flat), (radical, surd)):
+                got = check_kernel(terms, matrix)
+                assert any(v.d == d for v in got.values())
+            assert not any(v.d for v in check_kernel(rational, flat).values())
+
+
+def test_minor_sums_edge_cases():
+    """The zero form, degree 0, the 0 x 0 determinant and k above the
+    width."""
+    rng = random.Random(71)
+    square = [[number(rng, 2) for _ in range(4)] for _ in range(4)]
+    assert check_kernel({}, square) == {}
+    assert check_kernel({(1, 3): Scalar(0), (2, 4): Scalar(0)}, square) == {}
+    c = number(rng, 2) or ONE
+    assert check_kernel({(): c}, square) == {(): c}
+    assert minor_sums({(): c}, ()) == {(): c}
+    assert minor_sums({(): ONE}, ()) == {(): ONE} and laplace_minor_sums({(): ONE}, (), [()]) == [ONE]
+    assert linalg.det([]) == linalg.det(()) == ONE
+    narrow = [row[:2] for row in square]
+    assert check_kernel({(1, 2, 3): ONE, (2, 3, 4): c}, narrow) == {}
+    assert check_kernel({(1, 2, 3, 4): c}, [row[:3] for row in square]) == {}
+    assert minor_sums({(1,): c, (4,): ONE}, [[]] * 4) == {}  # no column at all
+    assert linalg.det([[Scalar(0), 1], [0, 2]]) == Scalar(0)
+
+
+def test_dense_four_form_on_r8_matches_loops():
+    """The largest level: a dense 4-form on R^8 asks for all
+    C(8, 4)^2 = 4900 4 x 4 minors."""
+    rng = random.Random(69)
+    vol = KForm.basis(8, tuple(range(1, 9)), 3)
+    for d in RADICANDS:
+        form = KForm(8, 4, {idx: number(rng, d) or Scalar(idx[0]) for idx in combinations(range(1, 9), 4)})
+        assert len(form.terms) == 70
+        vectors = [[number(rng, d) for _ in range(8)] for _ in range(4)]
+        check_all(form, glplus(rng, 8, d), vectors, metric(rng, 8, d), vol)
 
 
 def test_fractional_and_sparse_forms_match_loops():
@@ -272,6 +391,8 @@ def test_plane_predicates_match_gram_oracle():
     for d in (0, 2, 3):
         for dim in (6, 7):
             base = OrientedPlane(dim, [[number(rng, d) for _ in range(dim)] for _ in range(3)])
+            triples = list(combinations(range(1, dim + 1), 3))
+            assert base.trivector == tuple(laplace_minor_sums({(1, 2, 3): ONE}, base.vectors, triples))
             for sign in (1, -1):
                 other = OrientedPlane(dim, linalg.mat_mul(gl3(rng, d, sign), base.vectors))
                 assert base.spans_same(other) and rank_spans_same(base, other)

@@ -194,8 +194,9 @@ def test_cubic_table_shape():
 
 
 def test_import_builds_no_table():
-    """The orbit tables are built on first use: a fresh `import
-    stableforms` runs none of the cached table builders."""
+    """The orbit tables and the minor kernel's scatter tables are built on
+    first use: a fresh `import stableforms` runs none of the cached table
+    builders."""
     code = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -209,6 +210,7 @@ def test_import_builds_no_table():
     misses = json.loads(out.stdout)
     for name in ("_cubic_table", "_hitchin_table", "_pfaffian_table"):
         assert misses["stableforms.geometry.orbits." + name] == 0
+    assert misses["stableforms.exterior._minors._scatter_table"] == 0
     assert not any(misses.values())
 
 

@@ -187,6 +187,9 @@ def test_rref_with_negative_last_pivot_matches_fraction_oracle(d):
         lambda: Scalar.sqrt("1/4"),
         lambda: Scalar.coerce(0.5),
         lambda: KForm(7, 1, {(1,): 0.5}),
+        lambda: linalg.coerce_vector([Scalar(1), 0.5]),
+        lambda: linalg.coerce_vector(["1"]),
+        lambda: linalg.coerce_matrix([[1, 2], [Scalar(3), 4.0]]),
     ],
 )
 def test_only_ints_and_fractions_are_exact_input(build):
@@ -203,3 +206,19 @@ def test_exact_input_still_builds():
         Scalar(0, 1, 2) * Scalar(0, 1, 3)
     with pytest.raises(ValueError):
         Scalar(1, 1, -2)
+
+
+def test_coerce_vector_keeps_scalars_and_coerces_exact_numbers():
+    scalars = (Scalar(1), Scalar(0, 1, 2), Scalar(Fraction(-2, 3)))
+    assert linalg.coerce_vector(scalars) is scalars
+    assert linalg.coerce_vector(list(scalars)) == scalars
+    assert linalg.coerce_vector(iter(scalars)) == scalars
+    assert linalg.coerce_vector(()) == ()
+    mixed = linalg.coerce_vector([1, Fraction(-2, 3), Scalar(0, 1, 2), True])
+    assert mixed == (Scalar(1), Scalar(Fraction(-2, 3)), Scalar(0, 1, 2), Scalar(1))
+    assert all(type(x) is Scalar for x in mixed)
+    for ragged in ([[1, 2], [3]], [[Scalar(1)], [Scalar(2), Scalar(3)]], [[], [0]]):
+        with pytest.raises(ValueError):
+            linalg.coerce_matrix(ragged)
+        with pytest.raises(ValueError):
+            linalg.det(ragged)
