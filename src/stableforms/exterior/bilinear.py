@@ -15,8 +15,8 @@ class Signature(NamedTuple):
     null: int
 
 
-class SymBilinear:
-    """A symmetric bilinear form as an exact square matrix."""
+class _SquareMatrix:
+    """An exact square matrix; SymBilinear and Endo add their own methods."""
 
     __slots__ = ("dim", "entries")
 
@@ -24,10 +24,6 @@ class SymBilinear:
         entries = linalg.coerce_matrix(entries)
         if len(entries) != dim or any(len(r) != dim for r in entries):
             raise DimensionError("matrix shape does not match dimension")
-        for i in range(dim):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise DimensionError("matrix is not symmetric")
         self.dim = dim
         self.entries = entries
 
@@ -39,6 +35,26 @@ class SymBilinear:
             n,
             [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)],
         )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.entries == other.entries
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.entries!r})"
+
+
+class SymBilinear(_SquareMatrix):
+    """A symmetric bilinear form as an exact square matrix."""
+
+    __slots__ = ()
+
+    def __init__(self, dim, entries):
+        super().__init__(dim, entries)
+        e = self.entries
+        if any(e[i][j] != e[j][i] for i in range(dim) for j in range(i)):
+            raise DimensionError("matrix is not symmetric")
 
     @classmethod
     def zero(cls, n):
@@ -57,35 +73,11 @@ class SymBilinear:
         at = linalg.transpose(linalg.coerce_matrix(getattr(matrix, "entries", matrix)))
         return SymBilinear(self.dim, linalg.gram(at, self.entries, at))
 
-    def __eq__(self, other):
-        if not isinstance(other, SymBilinear):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
 
-    def __repr__(self):
-        return f"SymBilinear({self.entries!r})"
-
-
-class Endo:
+class Endo(_SquareMatrix):
     """A linear endomorphism; columns are images of the basis vectors."""
 
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim, entries):
-        entries = linalg.coerce_matrix(entries)
-        if len(entries) != dim or any(len(r) != dim for r in entries):
-            raise DimensionError("matrix shape does not match dimension")
-        self.dim = dim
-        self.entries = entries
-
-    @classmethod
-    def diagonal(cls, values):
-        n = len(values)
-        vals = [Scalar.coerce(v) for v in values]
-        return cls(
-            n,
-            [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)],
-        )
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n):
@@ -113,14 +105,6 @@ class Endo:
 
     def trace(self):
         return sum((self.entries[i][i] for i in range(self.dim)), Scalar(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __repr__(self):
-        return f"Endo({self.entries!r})"
 
 
 def signature(b):

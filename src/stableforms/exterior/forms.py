@@ -11,9 +11,11 @@ values support +, -, unary - and truth (`Scalar` here, `TrigScalar` and
 `GaussQ` in `stableforms.torus`): `_add_term` accumulates one signed
 term and drops a zero sum, and `_canonical_terms`, `_sum_terms` and
 `_wedge_terms` build constructor input, sums and wedges from it.
+`_SparseForm` holds the form methods that KForm and TrigForm share.
 """
 
 import json
+import operator
 
 from ..errors import DegenerateMetricError, DimensionError
 from . import linalg
@@ -74,7 +76,7 @@ def _canonical_terms(terms, degree, lo, hi, coerce):
     coefficients of equal tuples are summed."""
     out = {}
     for idx, c in terms.items() if hasattr(terms, "items") else terms:
-        idx = tuple(int(i) for i in idx)
+        idx = tuple(map(operator.index, idx))
         if len(idx) != degree:
             raise DimensionError(f"index tuple {idx} has wrong length")
         if any(not lo <= i <= hi for i in idx):
@@ -104,10 +106,40 @@ def _wedge_terms(left, right):
     return out
 
 
-class KForm:
-    """An alternating form of fixed degree on R^dim."""
+class _SparseForm:
+    """A form of fixed degree on `dim` slots as a canonical term dict; the
+    subclass gives `_check_compatible`, `to_json`, `from_json` and
+    `_like(degree, terms)`, which wraps a result of its own kind."""
 
     __slots__ = ("dim", "degree", "terms")
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._like(self.degree, _sum_terms(self.terms, other.terms, 1))
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._like(self.degree, _sum_terms(self.terms, other.terms, -1))
+
+    def __neg__(self):
+        return self._like(self.degree, {i: -c for i, c in self.terms.items()})
+
+    def to_json_str(self):
+        return json.dumps(self.to_json(), separators=(",", ":"))
+
+    @classmethod
+    def from_json_str(cls, text):
+        return cls.from_json(json.loads(text))
+
+
+class KForm(_SparseForm):
+    """An alternating form of fixed degree on R^dim."""
+
+    __slots__ = ()
 
     def __init__(self, dim, degree, terms=()):
         if not 1 <= dim <= MAX_DIM:
@@ -128,6 +160,9 @@ class KForm:
         f.terms = terms
         return f
 
+    def _like(self, degree, terms):
+        return KForm._trusted(self.dim, degree, terms)
+
     @classmethod
     def zero(cls, dim, degree):
         return cls(dim, degree)
@@ -137,10 +172,6 @@ class KForm:
         return cls(dim, len(idx), [(tuple(idx), coeff)])
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, idx):
         sidx, sgn = sort_signed(tuple(idx))
@@ -169,17 +200,6 @@ class KForm:
             raise DimensionError("forms live on different dimensions")
         if self.degree != other.degree:
             raise DimensionError("forms have different degrees")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return KForm._trusted(self.dim, self.degree, _sum_terms(self.terms, other.terms, 1))
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return KForm._trusted(self.dim, self.degree, _sum_terms(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return KForm._trusted(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, scalar):
         s = Scalar.coerce(scalar)
@@ -262,9 +282,6 @@ class KForm:
             ],
         }
 
-    def to_json_str(self):
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
     @classmethod
     def from_json(cls, obj):
         """Inverse of to_json: `dim`, `degree` and each `idx` entry must be
@@ -276,10 +293,6 @@ class KForm:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form object: {exc}") from exc
         return cls(dim, degree, terms)
-
-    @classmethod
-    def from_json_str(cls, text):
-        return cls.from_json(json.loads(text))
 
 
 def _json_int(x):

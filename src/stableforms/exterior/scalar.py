@@ -12,6 +12,7 @@ are answered exactly; floating point never enters.
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt, lcm
 
 from ..errors import ScalarContextError
@@ -110,6 +111,7 @@ def _fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
+@total_ordering
 class Scalar:
     """An exact number a + b*sqrt(d), stored as (p + q*sqrt(d)) / den;
     immutable after construction."""
@@ -159,37 +161,33 @@ class Scalar:
         if x.p < 0:
             raise ValueError("square root of a negative rational")
         s, d = square_free_split(x.p * x.den)
-        return Scalar(0, Fraction(s, x.den), d)
+        if d == 1:
+            return to_scalar(s, 0, 0, x.den)
+        return to_scalar(0, s, d, x.den)
 
     # -- field arithmetic ----------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign * other over the denominator den * oden."""
         try:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        d = self.d if self.d == other.d else join_radicands(self.d, other.d)
         den, oden = self.den, other.den
-        if den == oden:
-            return to_scalar(self.p + other.p, self.q + other.q, d, den)
         return to_scalar(
-            self.p * oden + other.p * den, self.q * oden + other.q * den, d, den * oden
+            self.p * oden + sign * other.p * den,
+            self.q * oden + sign * other.q * den,
+            join_radicands(self.d, other.d),
+            den * oden,
         )
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        d = self.d if self.d == other.d else join_radicands(self.d, other.d)
-        den, oden = self.den, other.den
-        if den == oden:
-            return to_scalar(self.p - other.p, self.q - other.q, d, den)
-        return to_scalar(
-            self.p * oden - other.p * den, self.q * oden - other.q * den, d, den * oden
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
@@ -202,13 +200,10 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        den = self.den * other.den
-        if not (self.d or other.d):
-            return to_scalar(self.p * other.p, 0, 0, den)
         d = join_radicands(self.d, other.d)
         p = self.p * other.p + self.q * other.q * d
         q = self.p * other.q + self.q * other.p
-        return to_scalar(p, q, d, den)
+        return to_scalar(p, q, d, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -217,8 +212,6 @@ class Scalar:
         p, q, d = self.p, self.q, self.d
         if not (p or q):
             raise ZeroDivisionError("scalar is zero")
-        if not q:
-            return to_scalar(self.den, 0, 0, p)
         return to_scalar(self.den * p, -self.den * q, d, p * p - q * q * d)
 
     def __truediv__(self, other):
@@ -290,15 +283,6 @@ class Scalar:
 
     def __lt__(self, other):
         return (self - Scalar.coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - Scalar.coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - Scalar.coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - Scalar.coerce(other)).sign() >= 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * float(self.d) ** 0.5

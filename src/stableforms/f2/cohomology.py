@@ -3,6 +3,7 @@ ring of the n-torus -- with cup products, Stiefel-Whitney classes of
 sums of flat line bundles, and the decomposability test for degree-2
 classes."""
 
+import operator
 from itertools import combinations
 
 from ..errors import DimensionError
@@ -24,7 +25,7 @@ class F2ExtClass:
             raise DimensionError(f"degree {degree} outside 0..{ambient}")
         canon = set()
         for t in terms:
-            t = tuple(sorted(int(i) for i in t))
+            t = tuple(sorted(map(operator.index, t)))
             if len(t) != degree or len(set(t)) != degree:
                 raise DimensionError(f"term {t} is not a {degree}-subset")
             if t and not (1 <= t[0] and t[-1] <= ambient):

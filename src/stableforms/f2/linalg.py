@@ -10,6 +10,8 @@ and in range by construction, and are wrapped by `_trusted` without
 checks.
 """
 
+import operator
+
 from ..errors import DimensionError
 from . import kernels
 
@@ -24,7 +26,7 @@ class F2Matrix:
     def __init__(self, n, rows):
         if not 1 <= n <= MAX_COLS:
             raise DimensionError(f"column count {n} outside 1..{MAX_COLS}")
-        rows = tuple(map(int, rows))
+        rows = tuple(map(operator.index, rows))
         if rows and (min(rows) < 0 or max(rows) >> n):
             raise DimensionError("row does not fit in the column count")
         self.n = n

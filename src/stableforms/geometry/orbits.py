@@ -224,7 +224,11 @@ def hitchin_invariant(rho, endo=None):
     equals this multiple of Id.  K is read off as (X + sqrt(d) Y) / L, so
     the trace is (sum X_ij X_ji + d Y_ij Y_ji + sqrt(d) sum 2 X_ij Y_ji)
     / L^2, taken in ints."""
-    k = (hitchin_endomorphism(rho) if endo is None else endo).entries
+    if endo is None:
+        endo = hitchin_endomorphism(rho)
+    elif endo.dim != 6:
+        raise DimensionError(f"hitchin_invariant requires a 6 x 6 K, got {endo.dim} x {endo.dim}")
+    k = endo.entries
     x, y, d, den = read_off([e for row in k for e in row])
     xt = [x[j * 6 + i] for i in range(6) for j in range(6)]
     rat = sum(map(mul, x, xt))

@@ -17,12 +17,13 @@ unity.
 TrigForm's constructor, sums, wedge and d, and TrigScalar's constructor,
 run on the sparse term algebra of `stableforms.exterior.forms`
 (`_canonical_terms`, `_sum_terms`, `_wedge_terms`, `_add_term`), the
-one that KForm uses; `TrigScalar.__bool__` (non-zero) is what lets those
-helpers drop zero sums.  Only TrigScalar's int-pair sum and product
-accumulate on their own.
+one that KForm uses, and TrigForm takes its sums, negation and JSON text
+from KForm's base `_SparseForm`; `TrigScalar.__bool__` (non-zero) is what
+lets those helpers drop zero sums.  Only TrigScalar's int-pair sum and
+product accumulate on their own.
 """
 
-import json
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -34,10 +35,11 @@ from .exterior.forms import (
     _canonical_terms,
     _json_int,
     _json_ints,
-    _sum_terms,
+    _SparseForm,
     _wedge_terms,
     sort_signed,
 )
+from .exterior.scalar import _fraction
 
 
 class GaussQ:
@@ -46,8 +48,8 @@ class GaussQ:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = _fraction(re)
+        self.im = _fraction(im)
 
     @staticmethod
     def coerce(x):
@@ -142,12 +144,13 @@ class TrigScalar:
         items = terms.items() if hasattr(terms, "items") else terms
         canon = {}
         for (freq, tdeg), c in items:
-            freq = tuple(int(f) for f in freq)
+            freq = tuple(map(operator.index, freq))
             if len(freq) != dim:
                 raise DimensionError(f"frequency {freq} has wrong length")
+            tdeg = operator.index(tdeg)
             if tdeg < 0:
                 raise DimensionError("negative t-degree")
-            _add_term(canon, (freq, int(tdeg)), GaussQ.coerce(c), 1)
+            _add_term(canon, (freq, tdeg), GaussQ.coerce(c), 1)
         for (freq, tdeg), c in canon.items():
             neg = tuple(-f for f in freq)
             if canon.get((neg, tdeg), GaussQ()) != c.conj():
@@ -240,6 +243,10 @@ class TrigScalar:
         return any(tdeg for (_, tdeg) in self.num)
 
     def __add__(self, other):
+        if not isinstance(other, TrigScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = TrigScalar.constant(self.dim, other)
         if self.dim != other.dim:
             raise DimensionError("mixed torus dimensions")
         den, oden = self.den, other.den
@@ -263,6 +270,8 @@ class TrigScalar:
             else:
                 del out[key]
         return TrigScalar._trusted(self.dim, out, den)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)
@@ -348,12 +357,12 @@ class TrigScalar:
         return total.re
 
 
-class TrigForm:
+class TrigForm(_SparseForm):
     """A differential form on T^n (or on an interval times T^n) whose
     coefficients are TrigScalars.  Index 0 denotes the dt-slot and is
     allowed only on cylinder forms (has_t set)."""
 
-    __slots__ = ("dim", "degree", "has_t", "terms")
+    __slots__ = ("has_t",)
 
     def __init__(self, dim, degree, terms=(), has_t=False):
         if not 1 <= dim <= 7:
@@ -385,6 +394,9 @@ class TrigForm:
         f.terms = terms
         return f
 
+    def _like(self, degree, terms):
+        return TrigForm._trusted(self.dim, degree, terms, self.has_t)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -407,10 +419,6 @@ class TrigForm:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def with_t(self):
         """The same form regarded on the cylinder."""
         if self.has_t:
@@ -422,23 +430,6 @@ class TrigForm:
             raise DimensionError("incompatible forms")
         if self.has_t != other.has_t:
             raise DimensionError("mixed torus and cylinder forms")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TrigForm._trusted(
-            self.dim, self.degree, _sum_terms(self.terms, other.terms, 1), self.has_t
-        )
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TrigForm._trusted(
-            self.dim, self.degree, _sum_terms(self.terms, other.terms, -1), self.has_t
-        )
-
-    def __neg__(self):
-        return TrigForm._trusted(
-            self.dim, self.degree, {i: -c for i, c in self.terms.items()}, self.has_t
-        )
 
     def scale(self, f):
         """Multiply by a TrigScalar (or rational) coefficient function."""
@@ -539,9 +530,6 @@ class TrigForm:
             "terms": entries,
         }
 
-    def to_json_str(self):
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
     @classmethod
     def from_json(cls, obj):
         """Inverse of to_json: `dim`, `degree`, `tdeg` and each `idx` and
@@ -563,15 +551,11 @@ class TrigForm:
         terms = {idx: TrigScalar(dim, pairs) for idx, pairs in scalars.items()}
         return cls(dim, degree, terms, has_t)
 
-    @classmethod
-    def from_json_str(cls, text):
-        return cls.from_json(json.loads(text))
-
 
 def phase_family(freqs, base, partner):
     """cos(a.x) * base + sin(a.x) * partner for the frequency vector a."""
     dim = base.dim
-    freqs = tuple(int(f) for f in freqs)
+    freqs = tuple(map(operator.index, freqs))
     if len(freqs) != dim:
         raise DimensionError("frequency vector has wrong length")
     ca = TrigScalar.cos_wave(dim, freqs)

@@ -47,6 +47,39 @@ def low_rank(rng, n, d):
 def test_symmetry_enforced():
     with pytest.raises(DimensionError):
         SymBilinear(2, [[0, 1], [2, 0]])
+    with pytest.raises(DimensionError):
+        SymBilinear(3, [[1, 0, 0], [0, 1, Scalar(0, 1, 2)], [0, Scalar(0, -1, 2), 1]])
+    assert Endo(2, [[0, 1], [2, 0]]).entries == linalg.coerce_matrix([[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("cls", [Endo, SymBilinear])
+def test_square_matrices_share_shape_checks_diagonal_and_repr(cls):
+    rows = [[1, Fraction(1, 2)], [Fraction(1, 2), Scalar(0, 1, 3)]]
+    m = cls(2, rows)
+    assert m == cls(2, linalg.coerce_matrix(rows)) and m != cls(2, [[1, 0], [0, 1]])
+    assert repr(m) == f"{cls.__name__}({m.entries!r})"
+    with pytest.raises(TypeError):
+        hash(m)
+    diag = cls.diagonal([1, Scalar(0, 1, 2), Fraction(-1, 3)])
+    assert type(diag) is cls and diag.dim == 3
+    assert diag.entries == linalg.coerce_matrix(
+        [[1, 0, 0], [0, Scalar(0, 1, 2), 0], [0, 0, Fraction(-1, 3)]]
+    )
+    for dim, bad in ((3, rows), (2, [[1, 2, 3], [2, 3, 4]]), (2, [[1, 2]])):
+        with pytest.raises(DimensionError):
+            cls(dim, bad)
+    with pytest.raises(ValueError):
+        cls(2, [[1, 2], [2]])
+
+
+def test_endo_and_symbilinear_never_compare_equal():
+    rows = [[1, 2], [2, 3]]
+    e, b = Endo(2, rows), SymBilinear(2, rows)
+    assert e.entries == b.entries
+    assert e != b and b != e and not e == b
+    assert Endo.diagonal([1, 2]) != SymBilinear.diagonal([1, 2])
+    assert not issubclass(Endo, SymBilinear) and not issubclass(SymBilinear, Endo)
+    assert type(SymBilinear.zero(3)) is SymBilinear and type(Endo.identity(3)) is Endo
 
 
 def test_signature_examples():

@@ -259,6 +259,11 @@ def test_f2matrix_constructor_validates():
         with pytest.raises(DimensionError):
             F2Matrix(n, [0])
     assert F2Matrix(3, ()).rows == ()
+    # rows are exact ints: a float or a string is refused, not truncated
+    for rows in ([1.7], ["5"], [1, 2.0]):
+        with pytest.raises(TypeError):
+            F2Matrix(3, rows)
+    assert F2Matrix(3, [True, 5]).rows == (1, 5)
     m = F2Matrix(6, [0b110000, 0b011000, 0b101000])
     assert m.rref() == F2Matrix(6, [0b101000, 0b011000])
 
@@ -276,6 +281,15 @@ def test_f2matrix_inverse():
 
 def gen(i, n=6):
     return F2ExtClass.generator(n, i)
+
+
+def test_ext_class_letters_must_be_exact_ints():
+    for term in ((1.5,), ("1",), (1.0,)):
+        with pytest.raises(TypeError):
+            F2ExtClass(3, 1, [term])
+    with pytest.raises(TypeError):
+        F2ExtClass(4, 2, [(1, 2.0)])
+    assert F2ExtClass(3, 1, [(True,)]) == F2ExtClass.generator(3, 1)
 
 
 def test_cup_examples():

@@ -46,6 +46,29 @@ def test_constructor_validation():
         KForm(6, 2, {(1, 7): 1})
     with pytest.raises(DimensionError):
         KForm(6, 2, {(1, 2, 3): 1})
+    # indices are exact ints: a float or a string is refused, not truncated
+    for idx in ((1.5, 2, 3), ("1", 2, 3), (Fraction(1), 2, 3)):
+        with pytest.raises(TypeError):
+            KForm(7, 3, {idx: 1})
+    assert KForm(7, 3, {(True, 2, 3): 1}) == E(7, (1, 2, 3))
+
+
+def test_sums_and_negation_keep_the_kind():
+    a = KForm(6, 2, {(1, 2): 1, (3, 4): Scalar(0, 1, 2)})
+    b = KForm(6, 2, {(1, 2): -1, (5, 6): Fraction(1, 3)})
+    for got, want in (
+        (a + b, {(3, 4): Scalar(0, 1, 2), (5, 6): Scalar(Fraction(1, 3))}),
+        (a - b, {(1, 2): Scalar(2), (3, 4): Scalar(0, 1, 2), (5, 6): Scalar(Fraction(-1, 3))}),
+        (-a, {(1, 2): Scalar(-1), (3, 4): Scalar(0, -1, 2)}),
+        (a - a, {}),
+    ):
+        assert type(got) is KForm and (got.dim, got.degree) == (6, 2)
+        assert got.terms == want and got.is_zero == (not want)
+    for other in (KForm(7, 2), KForm(6, 3)):
+        with pytest.raises(DimensionError):
+            a + other
+        with pytest.raises(DimensionError):
+            a - other
 
 
 def test_wedge_basis_cases():

@@ -19,6 +19,7 @@ from oracles import (
     rand_kform,
 )
 from stableforms import (
+    DimensionError,
     Endo,
     KForm,
     Orbit6,
@@ -285,6 +286,12 @@ def test_hitchin_invariant_examples():
     # complex-type form, so the invariant is -4 rather than -1.
     assert hitchin_invariant(RHO_MINUS) == Scalar(-4)
     assert hitchin_invariant(KForm.basis(6, (1, 2, 3))) == Scalar(0)
+    k = hitchin_endomorphism(RHO_MINUS)
+    assert hitchin_invariant(RHO_MINUS, k) == Scalar(-4)
+    # K must be 6 x 6: a larger one is not read by its first 36 entries
+    for n in (7, 5, 1):
+        with pytest.raises(DimensionError):
+            hitchin_invariant(RHO_MINUS, Endo.identity(n))
 
 
 def test_hitchin_scaling_laws():

@@ -4,6 +4,8 @@ seeded values over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), the canonical
 form (p, q, den, d) of every result, and the exact-input rule of the
 constructor."""
 
+import importlib
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -71,7 +73,9 @@ def test_ring_operations_match_fraction_oracle(d):
         assert agrees(abs(x), abs(fx))
         assert agrees(x**3, fx**3)
         assert x.sign() == fx.sign()
-        assert (x < y, x <= y, x == y) == (fx < fy, fx <= fy, fx == fy)
+        assert (x < y, x <= y, x == y, x > y, x >= y) == (
+            fx < fy, fx <= fy, fx == fy, fx > fy, fx >= fy
+        )
         if y:
             assert agrees(x / y, fx / fy)
             assert agrees(y.inverse(), fy.inverse())
@@ -79,8 +83,13 @@ def test_ring_operations_match_fraction_oracle(d):
         assert agrees(x + n, fx + n) and agrees(n + x, n + fx)
         assert agrees(x - n, fx - n) and agrees(n - x, n - fx)
         assert agrees(x * n, fx * n) and agrees(n * x, n * fx)
+        assert (n < x, n <= x, n == x, n > x, n >= x) == (
+            n < fx, n <= fx, n == fx, n > fx, n >= fx
+        )
         if x:
             assert agrees(n / x, n / fx)
+        if n:
+            assert agrees(x / n, fx / n)
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -93,6 +102,63 @@ def test_text_round_trip_matches_fraction_oracle(d):
         assert agrees(Scalar.parse(text), FractionScalar.parse(text))
         assert Scalar.parse(text) == x
         assert float(x) == float(fx)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_sums_over_equal_and_unequal_denominators_match_fraction_oracle(d):
+    # + and - share one body over den * oden: the one gcd in to_scalar must
+    # give the canonical value whether the denominators are equal, share a
+    # factor or are coprime, and whether the sum cancels a part or is zero
+    numerators = ((1, 1), (5, 0), (-1, -1), (7, 5), (0, 3), (6, -4))
+    for den in (1, 4, 6, 7, 12):
+        for oden in (1, 4, 6, 7, 12):
+            for p, q in numerators:
+                for op, oq in numerators:
+                    a, b = Fraction(p, den), Fraction(q, den) if d else 0
+                    c, e = Fraction(op, oden), Fraction(oq, oden) if d else 0
+                    x, fx = Scalar(a, b, d), FractionScalar(a, b, d)
+                    y, fy = Scalar(c, e, d), FractionScalar(c, e, d)
+                    assert agrees(x + y, fx + fy)
+                    assert agrees(x - y, fx - fy)
+                    assert agrees(x * y, fx * fy)
+                    if y:
+                        assert agrees(x / y, fx / fy)
+
+
+OPERATIONS = (
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.le, operator.gt, operator.ge,
+)
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_every_operation_refuses_mixed_radicands_and_floats(op):
+    x, y = Scalar(1, 1, 2), Scalar(0, Fraction(1, 3), 3)
+    with pytest.raises(ScalarContextError):
+        op(x, y)
+    with pytest.raises(ScalarContextError):
+        op(y, x)
+    for left, right in ((x, 0.5), (0.5, x), (Scalar(2), 2.0), (2.0, Scalar(2))):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+def test_sqrt_splits_its_radicand_once_and_matches_fraction_oracle(monkeypatch):
+    # 2^31 + 11 and 2^31 + 45 are primes: their product is a 63-bit
+    # square-free radicand, the slowest case of the trial division
+    pq = (2**31 + 11) * (2**31 + 45)
+    inputs = (
+        0, 1, 8, 12, Fraction(9, 4), Fraction(1, 2), Fraction(50, 7),
+        Scalar(Fraction(18, 5)), Scalar(Fraction(-3, 4)) * -3, pq, Fraction(4 * pq, 9),
+    )
+    wants = [FractionScalar.sqrt(Scalar.coerce(x).a) for x in inputs]
+    module = importlib.import_module("stableforms.exterior.scalar")
+    split, calls = module.square_free_split, []
+    monkeypatch.setattr(module, "square_free_split", lambda n: calls.append(n) or split(n))
+    for x, want in zip(inputs, wants):
+        calls.clear()
+        assert agrees(Scalar.sqrt(x), want)
+        assert len(calls) == 1
 
 
 def test_hash_matches_int_and_fraction():

@@ -64,6 +64,38 @@ def test_gaussq_parse_round_trip():
     assert GaussQ.parse(str(c)) == c
 
 
+def test_only_exact_numbers_build_torus_scalars():
+    # ints and Fractions are the exact input, as for Scalar: a float or a
+    # string is refused, not converted or truncated
+    assert GaussQ(3, Fraction(1, 2)) == GaussQ(Fraction(3), Fraction(1, 2))
+    for re, im in ((1.5, 0), (0, 0.5), ("1/2", 0), (0, Scalar(1))):
+        with pytest.raises(TypeError):
+            GaussQ(re, im)
+    half = GaussQ(Fraction(1, 2))
+    for key in (((1.0, 0), 0), (("1", 0), 0), ((1, 0), 1.0), ((1, 0), "1")):
+        with pytest.raises(TypeError):
+            TrigScalar(2, {key: half})
+    with pytest.raises(TypeError):
+        phase_family((1.5, 0, 0, 0, 0, 0), RHO_MINUS, RHO_HAT)
+    assert TrigScalar(1, {((True,), 0): half, ((-1,), 0): half}) == TrigScalar.cos_wave(1, (1,))
+
+
+def test_trig_scalar_adds_exact_numbers_on_either_side():
+    f = TrigScalar.cos_wave(2, (1, 0)) * Fraction(2, 3)
+    one = TrigScalar.constant(2, 1)
+    for n in (1, -2, Fraction(3, 4)):
+        c = TrigScalar.constant(2, n)
+        assert f + n == f + c and n + f == f + c
+        assert f - n == f - c
+    assert f + 1 - 1 == f and 1 + f == f + one
+    assert sum([f, f, f]) == f * 3
+    for bad in ("x", 0.5, GaussQ(1)):
+        with pytest.raises(TypeError):
+            f + bad
+        with pytest.raises(TypeError):
+            bad + f
+
+
 def test_reality_enforced():
     with pytest.raises(DimensionError):
         TrigScalar(2, {((1, 0), 0): GaussQ(1, 1)})
@@ -289,6 +321,11 @@ def test_scalar_arithmetic_matches_gaussq_oracle():
         _assert_matches(a + b, oa + ob)
         _assert_matches(a - b, oa - ob)
         _assert_matches(-a, -oa)
+        n = rng.choice((0, 1, -3, Fraction(5, 2)))
+        on = type(oa).constant(dim, n)
+        _assert_matches(a + n, oa + on)
+        _assert_matches(n + a, on + oa)
+        _assert_matches(a - n, oa - on)
         _assert_matches(a * b, oa * ob)
         _assert_matches(a + (b - a), ob)
         _assert_matches(a - a, oa - oa)
@@ -320,6 +357,8 @@ def test_form_calculus_matches_gaussq_oracle():
         _assert_matches(a + c, oa + oc)
         _assert_matches(a - c, oa - oc)
         assert a - c == a + (-c)
+        _assert_matches(-a, -oa)
+        assert (-a).is_zero == a.is_zero and (a - a).is_zero
         _assert_matches(a - a, oa - oa)
         assert (a - a).terms == {}
         _assert_matches(a.d(), oa.d())
@@ -408,6 +447,11 @@ def test_cylinder_inputs_validated():
         cylinder_extension(rho, rho)
     with pytest.raises(DimensionError):
         cylinder_extension(rho.with_t(), TrigForm.zero(6, 2))
+    # sums and negation keep the kind and the t-slot, and refuse to mix them
+    with pytest.raises(DimensionError):
+        rho + rho.with_t()
+    assert type(rho - rho) is TrigForm and not (rho - rho).has_t and (rho - rho).is_zero
+    assert (-rho.with_t()).has_t and -(-rho) == rho
     # index 0 is the dt-slot: a cylinder form has it, a torus form does not
     with pytest.raises(DimensionError):
         TrigForm(3, 1, {(0,): 1})
