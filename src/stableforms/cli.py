@@ -53,14 +53,8 @@ EXIT_NOT_CALIBRATED = 6
 MAX_COUNT_BITS = 14000
 
 
-class CliFailure(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-# The exit code of each error a subcommand lets through, first match
-# first; a CliFailure carries its own code.
+# The exit code of each error a subcommand raises or lets through, first
+# match first.
 _EXIT_CODES = (
     (NullHyperplaneError, EXIT_NULL),
     (NotCalibratedError, EXIT_NOT_CALIBRATED),
@@ -71,7 +65,7 @@ _EXIT_CODES = (
     (ScalarContextError, EXIT_UNSUPPORTED),
     (ValueError, EXIT_PARSE),
 )
-_CAUGHT = (CliFailure,) + tuple(error for error, _ in _EXIT_CODES)
+_CAUGHT = tuple(error for error, _ in _EXIT_CODES)
 
 
 def _read_form(path):
@@ -79,12 +73,12 @@ def _read_form(path):
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         form = KForm.from_json(json.loads(raw.decode("utf-8")))
     except (ValueError, DimensionError, UnicodeDecodeError, RecursionError) as exc:
         # RecursionError: json.loads on deeply nested arrays or objects
-        raise CliFailure(EXIT_PARSE, f"cannot parse {path}: {exc}") from exc
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     return form, {"path": path, "sha256": digest}
 
@@ -92,9 +86,7 @@ def _read_form(path):
 def _parse_vector(text, length, what):
     parts = text.split(",")
     if len(parts) != length:
-        raise CliFailure(
-            EXIT_PARSE, f"{what} needs {length} comma-separated rationals"
-        )
+        raise ValueError(f"{what} needs {length} comma-separated rationals")
     try:
         # p or p/q only: Fraction alone also takes exponents, and
         # "1e1000000" would be a million-digit integer
@@ -102,16 +94,7 @@ def _parse_vector(text, length, what):
             raise ValueError("entries must be rationals p or p/q")
         return tuple(Scalar(Fraction(p)) for p in parts)
     except ValueError as exc:  # also an integer of more than 4300 digits
-        raise CliFailure(EXIT_PARSE, f"malformed {what}: {exc}") from exc
-
-
-def _report(args_echo, inputs, result):
-    return {
-        "command": args_echo,
-        "inputs": inputs,
-        "exact": True,
-        "result": result,
-    }
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def _classify_payload(form):
@@ -124,10 +107,9 @@ def _classify_payload(form):
     if form.dim == 6 and form.degree == 3:
         cls = classify6(form)
         return {"orbit": cls.orbit.value, "lambda": str(cls.invariant)}
-    raise CliFailure(
-        EXIT_UNSUPPORTED,
+    raise DimensionError(
         f"classification needs a 3-form on R^6 or R^7, "
-        f"got degree {form.degree} on R^{form.dim}",
+        f"got degree {form.degree} on R^{form.dim}"
     )
 
 
@@ -141,11 +123,8 @@ def _cmd_decompose(args):
     theta = _parse_vector(args.theta, 7, "--theta")
     split = hyperplane_split(form, theta)
     rho_cls = classify6(split.rho)
-    admissible = (
-        extension_admissible(split.rho, split.omega)
-        if rho_cls.orbit is not Orbit6.DEGENERATE
-        else False
-    )
+    degenerate = rho_cls.orbit is Orbit6.DEGENERATE
+    admissible = not degenerate and extension_admissible(split.rho, split.omega)
     result = {
         "type": split.kind.value,
         "omega": split.omega.to_json(),
@@ -162,7 +141,7 @@ def _cmd_swap(args):
         _parse_vector(part, 7, "--plane vector") for part in args.plane.split(";")
     ]
     if len(vectors) != 3:
-        raise CliFailure(EXIT_PARSE, "--plane needs 3 semicolon-separated vectors")
+        raise ValueError("--plane needs 3 semicolon-separated vectors")
     try:
         plane = OrientedPlane(7, vectors)
     except DimensionError as exc:
@@ -183,9 +162,8 @@ def _cmd_extend_check(args):
 def _bound_count(bits, what):
     """Refuse a count whose estimated size exceeds MAX_COUNT_BITS."""
     if bits > MAX_COUNT_BITS:
-        raise CliFailure(
-            EXIT_UNSUPPORTED,
-            f"{what} has about {round(bits)} bits, above the limit of {MAX_COUNT_BITS}",
+        raise DimensionError(
+            f"{what} has about {round(bits)} bits, above the limit of {MAX_COUNT_BITS}"
         )
 
 
@@ -198,8 +176,8 @@ def _cmd_grassmann(args):
     verified = False
     if args.brute_force:
         if args.q != 2:
-            raise CliFailure(
-                EXIT_ENUM, "brute-force enumeration is only available over GF(2)"
+            raise EnumerationLimitError(
+                "brute-force enumeration is only available over GF(2)"
             )
         planes = grassmann_enumerate(args.n, args.k)
         verified = len(planes) == count
@@ -287,10 +265,8 @@ def main(argv=None):
         inputs, result = args.handler(args)
     except _CAUGHT as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliFailure):
-            return exc.code
         return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
-    report = _report(["stableforms"] + argv, inputs, result)
+    report = {"command": ["stableforms"] + argv, "inputs": inputs, "exact": True, "result": result}
     print(json.dumps(report, separators=(",", ":")))
     return 0
 

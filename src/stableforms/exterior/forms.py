@@ -42,15 +42,7 @@ def sort_signed(idx):
 
 def merge_signed(left, right):
     """Concatenate two increasing tuples; (merged, sign), sign 0 on overlap."""
-    inv = 0
-    for a in left:
-        for b in right:
-            if a == b:
-                return None, 0
-            if a > b:
-                inv += 1
-    merged, _ = sort_signed(left + right)
-    return merged, (-1 if inv & 1 else 1)
+    return sort_signed(left + right)
 
 
 def _add_term(out, key, c, sign):
@@ -118,10 +110,14 @@ class _SparseForm:
         return not self.terms
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._check_compatible(other)
         return self._like(self.degree, _sum_terms(self.terms, other.terms, 1))
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._check_compatible(other)
         return self._like(self.degree, _sum_terms(self.terms, other.terms, -1))
 
@@ -227,6 +223,8 @@ class KForm(_SparseForm):
     # -- exterior algebra -------------------------------------------------
 
     def wedge(self, other):
+        if not isinstance(other, KForm):
+            raise TypeError(f"cannot wedge a KForm with {type(other).__name__}")
         if self.dim != other.dim:
             raise DimensionError("forms live on different dimensions")
         deg = self.degree + other.degree

@@ -216,13 +216,18 @@ def kernel(m):
     return basis
 
 
-def inverse(m):
-    n = _square(m, "inverse")
-    aug = [list(m[i]) + [(ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug)
+def _solve(m, columns):
+    """X with m X = columns for a square m, one row of `columns` per
+    equation: [m | columns] reduced once, the pivots checked once."""
+    n = len(m)
+    rows, pivots = rref([tuple(m[i]) + tuple(columns[i]) for i in range(n)])
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(row[n:] for row in rows)
+
+
+def inverse(m):
+    return _solve(m, identity(_square(m, "inverse")))
 
 
 def solve(m, rhs):
@@ -230,8 +235,4 @@ def solve(m, rhs):
     n = _square(m, "solve")
     if len(rhs) != n:
         raise DimensionError(f"right-hand side of length {len(rhs)} for {n} equations")
-    aug = [list(m[i]) + [Scalar.coerce(rhs[i])] for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(rows[i][n] for i in range(n))
+    return tuple(row[0] for row in _solve(m, [(e,) for e in rhs]))

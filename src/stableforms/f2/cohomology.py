@@ -55,6 +55,8 @@ class F2ExtClass:
         return not self.terms
 
     def __add__(self, other):
+        if not isinstance(other, F2ExtClass):
+            return NotImplemented
         if self.ambient != other.ambient or self.degree != other.degree:
             raise DimensionError("classes live in different groups")
         return F2ExtClass(
@@ -82,6 +84,8 @@ class F2ExtClass:
 
 def cup(x, y):
     """Cup (wedge mod 2) product; signs vanish and a^a = 0 in degree 1."""
+    if not (isinstance(x, F2ExtClass) and isinstance(y, F2ExtClass)):
+        raise TypeError(f"cup needs two F2ExtClass, got {type(x).__name__} and {type(y).__name__}")
     if x.ambient != y.ambient:
         raise DimensionError("classes live on different ambients")
     acc = set()
@@ -167,6 +171,8 @@ def stiefel_whitney(lines):
 
 def plucker_class(plane):
     """Wedge of the two RREF basis rows of a 2-plane as a degree-2 class."""
+    if plane.nrows != 2:
+        raise DimensionError(f"plucker_class needs a 2-row matrix, got {plane.nrows} rows")
     r1, r2 = plane.rows
     n = plane.n
     terms = []
@@ -186,12 +192,13 @@ def decomposable_nonzero_count(n):
     matrix: the closed form [n, 2]_2 = (2^n - 1)(2^(n-1) - 1)/3 of the
     rank-2 alternating matrices over GF(2), exact for every n; the tests
     check it against exhaustive scans of all 2^C(n,2) classes for n <= 6."""
-    return kernels.count_decomposable_nonzero(n)
+    return kernels.count_decomposable_nonzero(operator.index(n))
 
 
 def count_slc_classes(n):
     """Homotopy classes of complex-type 3-forms on the n-torus: one per
     mod-2 degree-1 cohomology class."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     return 2**n
@@ -201,6 +208,7 @@ def count_extendible_slr_classes(n):
     """Number of degree-2 classes arising as w2 of an orientable rank-3
     sum of flat line bundles: the decomposable classes, i.e. the Plucker
     image of the 2-plane Grassmannian plus the zero class."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     return decomposable_nonzero_count(n) + 1

@@ -2,9 +2,11 @@
 groups, and Grassmannians, with a duplicate-free RREF enumeration as the
 brute-force cross-check over GF(2)."""
 
+import operator
 from fractions import Fraction
 
 from ..errors import EnumerationLimitError
+from ..exterior.scalar import _fraction
 from . import kernels
 from .linalg import F2Matrix
 
@@ -13,9 +15,11 @@ MAX_ENUM_DIM = 14
 
 
 def q_pochhammer(a, q, n):
-    """(a; q)_n = prod_{i=0..n-1} (1 - a q^i), exactly."""
-    a = Fraction(a)
-    q = Fraction(q)
+    """(a; q)_n = prod_{i=0..n-1} (1 - a q^i), exactly, for n >= 0."""
+    a = _fraction(a)
+    q = _fraction(q)
+    if operator.index(n) < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     out = Fraction(1)
     power = Fraction(1)
     for _ in range(n):
@@ -26,15 +30,13 @@ def q_pochhammer(a, q, n):
 
 def projective_count(size, n):
     """Points of projective (n-1)-space over a field with `size` elements."""
-    if size < 2 or n < 1:
-        raise ValueError("need a field size >= 2 and n >= 1")
-    assert (size**n - 1) % (size - 1) == 0
-    return (size**n - 1) // (size - 1)
+    return grassmann_count(size, n, 1)
 
 
 def general_linear_count(size, n):
     """Order of GL(n) over a field with `size` elements:
     q^(n(n-1)/2) * prod_{i=1..n} (q^i - 1) in integers."""
+    size, n = operator.index(size), operator.index(n)
     if size < 2 or n < 1:
         raise ValueError("need a field size >= 2 and n >= 1")
     out = size ** (n * (n - 1) // 2)
@@ -48,6 +50,7 @@ def grassmann_count(size, n, k):
     `size` elements: the Gaussian binomial
     prod_{i<k} (q^(n-i) - 1) / prod_{i<k} (q^(i+1) - 1), as one integer
     division at the end (k is replaced by min(k, n - k))."""
+    size, n, k = map(operator.index, (size, n, k))
     if size < 2 or n < 0:
         raise ValueError("need a field size >= 2 and n >= 0")
     if not 0 <= k <= n:

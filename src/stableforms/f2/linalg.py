@@ -50,10 +50,14 @@ class F2Matrix:
 
     @classmethod
     def from_bit_rows(cls, bit_rows):
-        """Build from rows given as 0/1 sequences (leftmost first)."""
+        """Build from equal-length rows of 0/1 entries (leftmost first)."""
+        if not bit_rows:
+            raise DimensionError("need at least one row to fix the column count")
         n = len(bit_rows[0])
         rows = []
         for br in bit_rows:
+            if len(br) != n:
+                raise DimensionError("rows have different lengths")
             v = 0
             for bit in br:
                 v = (v << 1) | (1 if bit else 0)
@@ -87,6 +91,8 @@ class F2Matrix:
         return F2Matrix(self.nrows, out)
 
     def mul(self, other):
+        if not isinstance(other, F2Matrix):
+            raise TypeError(f"cannot multiply an F2Matrix by {type(other).__name__}")
         if self.n != other.nrows:
             raise DimensionError("inner dimensions disagree")
         out = []
@@ -99,6 +105,8 @@ class F2Matrix:
         return F2Matrix(other.n, out)
 
     def add(self, other):
+        if not isinstance(other, F2Matrix):
+            raise TypeError(f"cannot add {type(other).__name__} to an F2Matrix")
         if self.n != other.n or self.nrows != other.nrows:
             raise DimensionError("shapes disagree")
         return F2Matrix(self.n, tuple(a ^ b for a, b in zip(self.rows, other.rows)))

@@ -11,23 +11,13 @@ swap inverts nothing: it reuses det(B|_C) as the denominator of its minors.
 from ..errors import NotCalibratedError, OrbitError
 from ..exterior import KForm, Scalar, _minors, linalg, signature
 from ..exterior.scalar import ZERO
-from .orbits import Orbit7, classify7
+from .orbits import Orbit7, _classified7, classify7
 from .planes import OrientedPlane
-
-
-def _classified(phi, orbit, what):
-    cls = classify7(phi)
-    if cls.orbit is not orbit or cls.standard_orientation is not True:
-        raise OrbitError(
-            f"{what} needs a standard-orientation {orbit.value} form, "
-            f"got {cls.orbit.value}"
-        )
-    return cls
 
 
 def cross_product(phi, u, v):
     """Vector w with B(w, .) = phi(u, v, .) for the induced bilinear B."""
-    cls = _classified(phi, Orbit7.G2, "cross_product")
+    cls = _classified7(phi, Orbit7.G2, "cross_product")
     # phi(u, v, e_i) is the i coefficient of v . (u . phi)
     uv = phi.contract(u).contract(v).terms
     rhs = [uv.get((i,), ZERO) for i in range(1, 8)]
@@ -54,13 +44,13 @@ def _calibration(phi, cls, plane):
 
 def is_calibrated(phi, plane):
     """Whether phi restricts to the metric volume on the oriented plane."""
-    cls = _classified(phi, Orbit7.G2, "is_calibrated")
+    cls = _classified7(phi, Orbit7.G2, "is_calibrated")
     return _calibration(phi, cls, plane) is not None
 
 
 def is_positively_calibrated(phi, plane):
     """Calibration for split-type forms: the plane must also be spacelike."""
-    cls = _classified(phi, Orbit7.G2_TILDE, "is_positively_calibrated")
+    cls = _classified7(phi, Orbit7.G2_TILDE, "is_positively_calibrated")
     return _calibration(phi, cls, plane) is not None
 
 

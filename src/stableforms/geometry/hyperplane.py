@@ -17,11 +17,11 @@ negated when that is negative.
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import DimensionError, NullHyperplaneError, OrbitError
+from ..errors import DimensionError, NullHyperplaneError
 from ..exterior import Endo, KForm, linalg
 from ..exterior._minors import minor_sums, read_off, to_scalar
 from ..exterior.scalar import ZERO
-from .orbits import _PAIRS, _TRIPLES, Orbit7, classify7
+from .orbits import _PAIRS, _TRIPLES, Orbit7, _classified7
 
 
 class HyperplaneKind(Enum):
@@ -76,9 +76,7 @@ def _minus_theta_wedge(phi, theta, omega):
 
 def hyperplane_split(phi, theta):
     """Split a split-type 3-form along the kernel of the covector theta."""
-    cls = classify7(phi)
-    if cls.orbit is not Orbit7.G2_TILDE or not cls.standard_orientation:
-        raise OrbitError(f"hyperplane split needs a split-type form, got {cls.orbit.value}")
+    cls = _classified7(phi, Orbit7.G2_TILDE, "hyperplane_split")
     theta = linalg.coerce_vector(theta)
     if len(theta) != 7:
         raise DimensionError("covector must have 7 components")

@@ -167,6 +167,18 @@ def classify7(phi):
     return Class7(Orbit7.NON_STABLE, None, sig, b)
 
 
+def _classified7(phi, orbit, what):
+    """classify7(phi); OrbitError unless phi lies in `orbit` with the
+    standard orientation."""
+    cls = classify7(phi)
+    if cls.orbit is not orbit or cls.standard_orientation is not True:
+        raise OrbitError(
+            f"{what} needs a standard-orientation {orbit.value} form, "
+            f"got {cls.orbit.value}"
+        )
+    return cls
+
+
 @cache
 def _hitchin_table():
     """Row j, column i of the table: the (A, B, sign) with A = {i} + a and
@@ -250,19 +262,20 @@ def classify6(rho):
     return Class6(orbit, lam, k)
 
 
-def _sqrt_invariant(lam):
-    # Radical-coefficient inputs can produce an irrational invariant whose
-    # square root would need a second radical; that is out of scope.
-    return Scalar.sqrt(abs(lam))
+def _classified6(rho, orbit, what):
+    """(classify6(rho), sqrt|lambda|); OrbitError "<what>, got <orbit>"
+    unless rho lies in `orbit`.  The root of an irrational lambda would
+    need a second radical; that is out of scope."""
+    cls = classify6(rho)
+    if cls.orbit is not orbit:
+        raise OrbitError(f"{what}, got {cls.orbit.value}")
+    return cls, Scalar.sqrt(abs(cls.invariant))
 
 
 def para_eigenspaces(rho):
     """Oriented +1/-1 eigenplanes of the para-complex structure of a
     para-type form, each oriented so the form is positive on its basis."""
-    cls = classify6(rho)
-    if cls.orbit is not Orbit6.SL3R2:
-        raise OrbitError(f"para eigenspaces need a para-type form, got {cls.orbit.value}")
-    root = _sqrt_invariant(cls.invariant)
+    cls, root = _classified6(rho, Orbit6.SL3R2, "para eigenspaces need a para-type form")
     planes = []
     for shift in (root, -root):
         shifted = [
@@ -285,11 +298,8 @@ def hitchin_dual(rho):
     rho + i*dual has type (3,0) for the normalized endomorphism
     J = K / sqrt|lambda| (up to sign), so dual = -J^* rho, which is
     -K^* rho / |lambda|^(3/2): one pullback."""
-    cls = classify6(rho)
-    if cls.orbit is not Orbit6.SL3C:
-        raise OrbitError(f"dual needs a complex-type form, got {cls.orbit.value}")
-    lam = abs(cls.invariant)
-    return -rho.pullback(cls.endo.entries) * (lam * _sqrt_invariant(lam)).inverse()
+    cls, root = _classified6(rho, Orbit6.SL3C, "dual needs a complex-type form")
+    return -rho.pullback(cls.endo.entries) * (abs(cls.invariant) * root).inverse()
 
 
 def _symmetrized(omega, endo, factor):
@@ -309,24 +319,20 @@ def hermitian_form(rho, omega):
     """Symmetric form -[omega(J a, b) + omega(J b, a)]/2 for the complex
     structure J induced by a complex-type form; a pseudo-Hermitian metric
     candidate for omega."""
-    cls = classify6(rho)
-    if cls.orbit is not Orbit6.SL3C:
-        raise OrbitError(f"hermitian_form needs a complex-type form, got {cls.orbit.value}")
     _require(omega, 6, 2, "hermitian_form")
+    cls, root = _classified6(rho, Orbit6.SL3C, "hermitian_form needs a complex-type form")
     # J is the structure whose (1,0)-forms pair the coordinates
     # (1,2), (3,4), (5,6) on the model form: -K / sqrt|lambda|.
-    return _symmetrized(omega, cls.endo, _HALF / _sqrt_invariant(cls.invariant))
+    return _symmetrized(omega, cls.endo, _HALF / root)
 
 
 def para_hermitian_form(rho, omega):
     """Symmetric form [omega(I a, b) + omega(I b, a)]/2 for the
     para-complex structure I = K / sqrt(lambda) induced by a para-type
     form."""
-    cls = classify6(rho)
-    if cls.orbit is not Orbit6.SL3R2:
-        raise OrbitError(f"para_hermitian_form needs a para-type form, got {cls.orbit.value}")
     _require(omega, 6, 2, "para_hermitian_form")
-    return _symmetrized(omega, cls.endo, _HALF / _sqrt_invariant(cls.invariant))
+    cls, root = _classified6(rho, Orbit6.SL3R2, "para_hermitian_form needs a para-type form")
+    return _symmetrized(omega, cls.endo, _HALF / root)
 
 
 @cache

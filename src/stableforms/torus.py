@@ -276,13 +276,18 @@ class TrigScalar:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __neg__(self):
         return TrigScalar._trusted(
             self.dim, {key: (-re, -im) for key, (re, im) in self.num.items()}, self.den
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TrigScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = TrigScalar.constant(self.dim, other)
         if self.dim != other.dim:
             raise DimensionError("mixed torus dimensions")
@@ -317,6 +322,8 @@ class TrigScalar:
     def dx(self, j):
         """Partial derivative in the j-th torus coordinate (1-based):
         multiplication by i*k_j, over the same denominator."""
+        if not 1 <= j <= self.dim:
+            raise DimensionError(f"coordinate {j} outside 1..{self.dim}")
         out = {}
         for key, (re, im) in self.num.items():
             kj = key[0][j - 1]
@@ -459,6 +466,8 @@ class TrigForm(_SparseForm):
         )
 
     def wedge(self, other):
+        if not isinstance(other, TrigForm):
+            raise TypeError(f"cannot wedge a TrigForm with {type(other).__name__}")
         if self.dim != other.dim or self.has_t != other.has_t:
             raise DimensionError("incompatible forms")
         deg = self.degree + other.degree

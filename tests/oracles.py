@@ -55,6 +55,19 @@ def perm_sign(perm):
     return sign
 
 
+def counting_merge_signed(left, right):
+    """Concatenate two increasing tuples; (merged, sign), sign 0 on overlap."""
+    inv = 0
+    for a in left:
+        for b in right:
+            if a == b:
+                return None, 0
+            if a > b:
+                inv += 1
+    merged, _ = sort_signed(left + right)
+    return merged, (-1 if inv & 1 else 1)
+
+
 def perm_det(matrix):
     """Determinant via the full Leibniz sum (no elimination)."""
     n = len(matrix)
@@ -786,6 +799,14 @@ def pochhammer_grassmann_count(size, n, k):
         / (q_pochhammer(inv, inv, k) * q_pochhammer(inv, inv, n - k))
     )
     return _as_integer(value, "|Gr|")
+
+
+def subtraction_projective_count(size, n):
+    """Points of projective (n-1)-space over a field with `size` elements."""
+    if size < 2 or n < 1:
+        raise ValueError("need a field size >= 2 and n >= 1")
+    assert (size**n - 1) % (size - 1) == 0
+    return (size**n - 1) // (size - 1)
 
 
 # -- GF(2) references --------------------------------------------------------

@@ -67,8 +67,16 @@ def test_classify_zero_form(capsys):
 def test_classify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, payload, err = run_cli(capsys, "classify", str(bad))
-    assert code == 2 and payload is None and err
+    code = main(["classify", str(bad)])
+    captured = capsys.readouterr()
+    assert_parse_error(code, captured.out, captured.err)
+
+
+def test_classify_unreadable_path_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code = main(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert_parse_error(code, captured.out, captured.err)
 
 
 def classify_terms(tmp_path, capsys, terms):
@@ -109,6 +117,12 @@ def test_classify_fractional_index_exits_2(tmp_path, capsys):
 def test_classify_string_index_exits_2(tmp_path, capsys):
     result = classify_terms(tmp_path, capsys, [{"idx": "123", "c": "1"}])
     assert_parse_error(*result)
+
+
+def test_classify_out_of_range_index_exits_2(tmp_path, capsys):
+    for idx in ([1, 2, 8], [0, 1, 2]):
+        result = classify_terms(tmp_path, capsys, [{"idx": idx, "c": "1"}])
+        assert_parse_error(*result)
 
 
 def test_classify_bool_index_exits_2(tmp_path, capsys):
@@ -196,8 +210,9 @@ def test_classify_unsupported_degree(tmp_path, capsys):
 
     path = tmp_path / "two_form.json"
     path.write_text(KForm.basis(7, (1, 2)).to_json_str())
-    code, payload, err = run_cli(capsys, "classify", str(path))
-    assert code == 3 and payload is None
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert_one_error_exit_3(code, captured.out, captured.err)
 
 
 def test_decompose_timelike(capsys):
@@ -253,7 +268,8 @@ def assert_one_error_exit_2(code, out, err):
 @pytest.mark.parametrize(
     "theta",
     ["1e1000000,0,0,0,0,0,1", "0,0,0,0,0,0,1e0", "0,0,0,0,0,0,1.5", "0,0,0,0,0,0,1/0",
-     "0,0,0,0,0,0,inf", "0,0,0,0,0,0,", "0,0,0,0,0,0,1_0", "0,0,0,0,0,0," + "9" * 5000],
+     "0,0,0,0,0,0,inf", "0,0,0,0,0,0,", "0,0,0,0,0,0,1_0", "0,0,0,0,0,0," + "9" * 5000,
+     "0,0,1", "0,0,0,0,0,0,0,1"],
 )
 def test_decompose_rejects_non_rational_theta(capsys, theta):
     start = time.perf_counter()
@@ -282,6 +298,17 @@ def test_swap_rejects_non_rational_plane(capsys):
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 1.0
         assert_one_error_exit_2(code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize(
+    "plane",
+    ["1,0,0,0,0,0,0;0,1,0,0,0,0,0", "1,0,0,0,0,0,0;0,1,0,0,0,0,0;0,0,1,0,0,0,0;0,0,0,1,0,0,0",
+     "1,0,0,0,0,0,0;0,1,0,0,0,0,0;0,0,1"],
+)
+def test_swap_refuses_a_plane_of_the_wrong_shape(capsys, plane):
+    code = main(["swap", fx("g2.json"), "--plane", plane])
+    captured = capsys.readouterr()
+    assert_one_error_exit_2(code, captured.out, captured.err)
 
 
 def test_swap_standard_plane(capsys):
@@ -396,6 +423,7 @@ def test_grassmann_brute_force_refused_for_q3(capsys):
         capsys, "grassmann", "--q", "3", "--n", "3", "--k", "1", "--brute-force"
     )
     assert code == 5 and payload is None
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_grassmann_oversize_exits_5(capsys):

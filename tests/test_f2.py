@@ -34,6 +34,7 @@ from oracles import (
     mask_enumerate_rref,
     pochhammer_general_linear_count,
     pochhammer_grassmann_count,
+    subtraction_projective_count,
 )
 
 
@@ -114,6 +115,12 @@ def test_projective_counts():
     assert projective_count(3, 3) == 13
 
 
+def test_projective_count_is_the_subtraction_quotient():
+    for size in range(2, 8):
+        for n in range(1, 13):
+            assert projective_count(size, n) == subtraction_projective_count(size, n)
+
+
 def test_projective_count_brute_force_f3():
     # count lines in F_3^3 by enumerating non-zero vectors up to scale
     vectors = [
@@ -131,6 +138,35 @@ def test_q_pochhammer():
     assert q_pochhammer(half, half, 1) == Fraction(1, 2)
     assert q_pochhammer(half, half, 2) == Fraction(3, 8)
     assert q_pochhammer(half, half, 0) == 1
+
+
+def test_q_pochhammer_is_exact_and_needs_a_length():
+    assert q_pochhammer(2, 3, 2) == (1 - 2) * (1 - 6)
+    for a, q in ((0.5, 2), (2, 0.5), ("1/2", 2)):
+        with pytest.raises(TypeError):
+            q_pochhammer(a, q, 1)
+    with pytest.raises(TypeError):
+        q_pochhammer(1, 2, 1.0)
+    with pytest.raises(ValueError):
+        q_pochhammer(1, 2, -1)
+
+
+def test_counts_take_ints_only():
+    for call in (
+        lambda: grassmann_count(2.0, 3, 1),
+        lambda: grassmann_count(2, 3.0, 1),
+        lambda: grassmann_count(2, 3, 1.0),
+        lambda: projective_count(2.0, 3),
+        lambda: general_linear_count(2.0, 2),
+        lambda: general_linear_count(2, 2.0),
+        lambda: count_slc_classes(1.5),
+        lambda: count_extendible_slr_classes(2.0),
+        lambda: decomposable_nonzero_count(3.0),
+        lambda: grassmann_count(Fraction(2), 3, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert grassmann_count(True + 1, 3, True) == 7  # bool is an int
 
 
 def test_gl_counts():
@@ -268,6 +304,22 @@ def test_f2matrix_constructor_validates():
     assert m.rref() == F2Matrix(6, [0b101000, 0b011000])
 
 
+def test_f2matrix_from_bit_rows_needs_equal_rows():
+    assert F2Matrix.from_bit_rows([[1, 0], [0, 1]]) == F2Matrix.identity(2)
+    for rows in ([], [[1, 0], [1]], [[1], [1, 0]]):
+        with pytest.raises(DimensionError):
+            F2Matrix.from_bit_rows(rows)
+
+
+def test_f2matrix_products_refuse_other_operands():
+    m = F2Matrix.identity(2)
+    for other in (1, None, [[1, 0], [0, 1]], F2ExtClass.generator(2, 1)):
+        with pytest.raises(TypeError):
+            m.add(other)
+        with pytest.raises(TypeError):
+            m.mul(other)
+
+
 def test_f2matrix_inverse():
     m = F2Matrix.from_bit_rows([[1, 1], [0, 1]])
     inv = m.inverse()
@@ -290,6 +342,26 @@ def test_ext_class_letters_must_be_exact_ints():
     with pytest.raises(TypeError):
         F2ExtClass(4, 2, [(1, 2.0)])
     assert F2ExtClass(3, 1, [(True,)]) == F2ExtClass.generator(3, 1)
+
+
+def test_ext_classes_refuse_other_operands():
+    a = F2ExtClass.generator(3, 1)
+    for other in (1, None, F2Matrix.identity(3)):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            other + a
+        with pytest.raises(TypeError):
+            cup(a, other)
+        with pytest.raises(TypeError):
+            cup(other, a)
+
+
+def test_plucker_class_needs_two_rows():
+    assert plucker_class(F2Matrix(3, [0b100, 0b010])) == F2ExtClass(3, 2, [(1, 2)])
+    for rows in ([0b100], [0b100, 0b010, 0b001]):
+        with pytest.raises(DimensionError):
+            plucker_class(F2Matrix(3, rows))
 
 
 def test_cup_examples():

@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from oracles import (
+    counting_merge_signed,
     naive_contract,
     naive_eval,
     naive_wedge,
@@ -27,6 +29,7 @@ from stableforms import (
     wedge,
 )
 from stableforms.errors import DegenerateMetricError
+from stableforms.exterior.forms import merge_signed
 
 E = KForm.basis
 
@@ -69,6 +72,32 @@ def test_sums_and_negation_keep_the_kind():
             a + other
         with pytest.raises(DimensionError):
             a - other
+
+
+def test_sums_refuse_foreign_operands():
+    a = KForm(6, 2, {(1, 2): 1})
+    for other in (1, Fraction(1, 2), Scalar(1), "x", None):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            other + a
+        with pytest.raises(TypeError):
+            a - other
+        with pytest.raises(TypeError):
+            other - a
+        with pytest.raises(TypeError):
+            a.wedge(other)
+
+
+def test_merge_signed_matches_the_inversion_count():
+    tuples = [t for k in range(5) for t in combinations(range(1, 9), k)]
+    for left in tuples:
+        for right in tuples:
+            merged, sign = merge_signed(left, right)
+            want, want_sign = counting_merge_signed(left, right)
+            assert sign == want_sign
+            if sign:
+                assert merged == want
 
 
 def test_wedge_basis_cases():

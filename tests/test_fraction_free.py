@@ -331,6 +331,17 @@ def test_solve_refuses_a_short_right_hand_side():
         linalg.inverse([[1, 2, 3], [4, 5, 6]])
 
 
+def test_solve_and_inverse_refuse_a_singular_matrix():
+    r2 = Scalar(0, 1, 2)
+    for m in ([[1, 2], [2, 4]], [[r2, 1], [2, r2]], [[0, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve(m, [1] * len(m))
+        with pytest.raises(ZeroDivisionError):
+            linalg.inverse(m)
+    assert linalg.inverse([]) == () and linalg.solve([], []) == ()
+    assert linalg.solve([[0, 2], [r2, 0]], [4, 1]) == (Scalar(0, Fraction(1, 2), 2), Scalar(2))
+
+
 # -- one radicand per call -----------------------------------------------------------
 
 

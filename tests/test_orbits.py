@@ -515,3 +515,66 @@ def test_circle_family_stays_complex_type():
         cls = classify6(member)
         assert cls.orbit is Orbit6.SL3C
         assert cls.invariant == Scalar(-4)
+
+
+# -- one orbit guard per operation -------------------------------------------------
+
+G2_FORM = standard_form("g2")
+SPLIT_FORM = standard_form("split_g2")
+FORMS7 = (G2_FORM, -G2_FORM, SPLIT_FORM, -SPLIT_FORM, KForm.basis(7, (1, 2, 3)), KForm.zero(7, 3))
+FORMS6 = (RHO_MINUS, RHO_PLUS, KForm.basis(6, (1, 2, 3)), KForm.zero(6, 3))
+E7 = [tuple(1 if j == i else 0 for j in range(7)) for i in range(7)]
+PLANE_123 = OrientedPlane(7, E7[:3])
+OMEGA_STD = KForm(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
+
+GUARDS7 = {
+    "cross_product": (Orbit7.G2, lambda phi: stableforms.cross_product(phi, E7[0], E7[1])),
+    "is_calibrated": (Orbit7.G2, lambda phi: stableforms.is_calibrated(phi, PLANE_123)),
+    "is_positively_calibrated": (
+        Orbit7.G2_TILDE, lambda phi: stableforms.is_positively_calibrated(phi, PLANE_123)
+    ),
+    "hyperplane_split": (Orbit7.G2_TILDE, lambda phi: stableforms.hyperplane_split(phi, E7[0])),
+}
+GUARDS6 = {
+    "para_eigenspaces": (Orbit6.SL3R2, para_eigenspaces),
+    "hitchin_dual": (Orbit6.SL3C, hitchin_dual),
+    "hermitian_form": (Orbit6.SL3C, lambda rho: hermitian_form(rho, OMEGA_STD)),
+    "para_hermitian_form": (Orbit6.SL3R2, lambda rho: para_hermitian_form(rho, OMEGA_STD)),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS7)
+def test_orbit7_guards_refuse_every_other_orbit(name):
+    orbit, call = GUARDS7[name]
+    for phi in FORMS7:
+        cls = classify7(phi)
+        if cls.orbit is orbit and cls.standard_orientation:
+            call(phi)
+        else:
+            with pytest.raises(OrbitError, match=f"^{name} needs a standard-orientation"):
+                call(phi)
+
+
+def test_swap_refuses_unstable_and_reversed_forms():
+    for phi in FORMS7[1::2] + FORMS7[4:]:
+        with pytest.raises(OrbitError):
+            stableforms.calibrated_swap(phi, PLANE_123)
+
+
+@pytest.mark.parametrize("name", GUARDS6)
+def test_orbit6_guards_refuse_every_other_orbit(name):
+    orbit, call = GUARDS6[name]
+    for rho in FORMS6:
+        if classify6(rho).orbit is orbit:
+            call(rho)
+        else:
+            with pytest.raises(OrbitError):
+                call(rho)
+
+
+@pytest.mark.parametrize("pairing", [hermitian_form, para_hermitian_form, extension_admissible])
+def test_pairings_check_omega_before_the_orbit(pairing):
+    for rho in FORMS6:
+        for omega in (KForm(6, 3), KForm(7, 2), KForm(6, 1)):
+            with pytest.raises(DimensionError):
+                pairing(rho, omega)

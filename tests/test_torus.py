@@ -86,7 +86,7 @@ def test_trig_scalar_adds_exact_numbers_on_either_side():
     for n in (1, -2, Fraction(3, 4)):
         c = TrigScalar.constant(2, n)
         assert f + n == f + c and n + f == f + c
-        assert f - n == f - c
+        assert f - n == f - c and n - f == c - f == -(f - c)
     assert f + 1 - 1 == f and 1 + f == f + one
     assert sum([f, f, f]) == f * 3
     for bad in ("x", 0.5, GaussQ(1)):
@@ -94,6 +94,47 @@ def test_trig_scalar_adds_exact_numbers_on_either_side():
             f + bad
         with pytest.raises(TypeError):
             bad + f
+
+
+def test_trig_scalar_refuses_foreign_operands():
+    f = TrigScalar.cos_wave(2, (1, 0))
+    for other in ("x", 0.5, GaussQ(1), Scalar(1), None):
+        for op in (
+            lambda: f + other, lambda: other + f, lambda: f - other,
+            lambda: other - f, lambda: f * other, lambda: other * f,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_forms_of_two_kinds_do_not_mix():
+    k1, k2 = KForm.basis(2, (1,)), KForm.basis(2, (2,))
+    t1, t2 = TrigForm(2, 1, {(1,): 1}), TrigForm(2, 1, {(2,): 1})
+    for a, b in ((k1, t1), (k1, t2), (t1, k1), (t1, k2)):
+        with pytest.raises(TypeError):
+            a.wedge(b)
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    for other in (1, Fraction(1, 2), TrigScalar.constant(2, 1), None):
+        with pytest.raises(TypeError):
+            t1 + other
+        with pytest.raises(TypeError):
+            other + t1
+        with pytest.raises(TypeError):
+            t1 - other
+        with pytest.raises(TypeError):
+            t1.wedge(other)
+
+
+def test_dx_takes_a_coordinate_of_the_torus():
+    f = TrigScalar.sin_wave(2, (0, 1))
+    assert f.dx(1).is_zero
+    assert f.dx(2) == TrigScalar.cos_wave(2, (0, 1))
+    for j in (0, -1, 3):
+        with pytest.raises(DimensionError):
+            f.dx(j)
 
 
 def test_reality_enforced():
