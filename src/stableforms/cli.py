@@ -36,9 +36,9 @@ from .geometry import (
     calibrated_swap,
     classify6,
     classify7,
-    extension_admissible,
     hyperplane_split,
 )
+from .geometry.orbits import _extension_admissible, _require
 
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
@@ -124,7 +124,7 @@ def _cmd_decompose(args):
     split = hyperplane_split(form, theta)
     rho_cls = classify6(split.rho)
     degenerate = rho_cls.orbit is Orbit6.DEGENERATE
-    admissible = not degenerate and extension_admissible(split.rho, split.omega)
+    admissible = not degenerate and _extension_admissible(rho_cls, split.omega)
     result = {
         "type": split.kind.value,
         "omega": split.omega.to_json(),
@@ -155,7 +155,8 @@ def _cmd_extend_check(args):
     rho, d1 = _read_form(args.rho)
     omega, d2 = _read_form(args.omega)
     cls = classify6(rho)
-    verdict = extension_admissible(rho, omega)
+    _require(omega, 6, 2, "extension_admissible")
+    verdict = _extension_admissible(cls, omega)
     return [d1, d2], {"rho_orbit": cls.orbit.value, "admissible": verdict}
 
 

@@ -124,6 +124,12 @@ class _SparseForm:
     def __neg__(self):
         return self._like(self.degree, {i: -c for i, c in self.terms.items()})
 
+    def __eq__(self, other):  # so forms stay unhashable
+        if type(other) is not type(self):
+            return NotImplemented
+        names = _SparseForm.__slots__ + self.__slots__  # has_t on a TrigForm
+        return all(getattr(self, n) == getattr(other, n) for n in names)
+
     def to_json_str(self):
         return json.dumps(self.to_json(), separators=(",", ":"))
 
@@ -204,15 +210,6 @@ class KForm(_SparseForm):
         return KForm._trusted(self.dim, self.degree, {i: c * s for i, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         body = " ".join(

@@ -8,10 +8,10 @@ oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.  The
 swap inverts nothing: it reuses det(B|_C) as the denominator of its minors.
 """
 
-from ..errors import NotCalibratedError, OrbitError
+from ..errors import DimensionError, NotCalibratedError, OrbitError
 from ..exterior import KForm, Scalar, _minors, linalg, signature
 from ..exterior.scalar import ZERO
-from .orbits import Orbit7, _classified7, classify7
+from .orbits import _TRIPLES, Orbit7, _classified7, classify7
 from .planes import OrientedPlane
 
 
@@ -28,8 +28,12 @@ def _calibration(phi, cls, plane):
     """(phi on the plane's basis, determinant of the plane's Gram matrix
     under B) when the plane is calibrated for the classified form --
     positively calibrated (spacelike as well) for a split-type form --
-    else None."""
-    val = phi.evaluate(*plane.vectors)
+    else None.  phi(v1, v2, v3) = sum phi_J t_J over the plane's stored
+    trivector t."""
+    if plane.dim != phi.dim:
+        raise DimensionError("vector length does not match dimension")
+    terms = phi.terms
+    val = sum((terms[t] * c for t, c in zip(_TRIPLES, plane.trivector) if c and t in terms), ZERO)
     if val.sign() <= 0:
         return None
     gram = cls.bilinear.restrict(plane.vectors)

@@ -19,7 +19,7 @@ from enum import Enum
 
 from ..errors import DimensionError, NullHyperplaneError
 from ..exterior import Endo, KForm, linalg
-from ..exterior._minors import minor_sums, read_off, to_scalar
+from ..exterior._minors import _scatter_table, _wedge_row, minor_sums, read_off, to_scalar
 from ..exterior.scalar import ZERO
 from .orbits import _PAIRS, _TRIPLES, Orbit7, _classified7
 
@@ -51,26 +51,22 @@ class HyperplaneSplit:
 
 
 def _minus_theta_wedge(phi, theta, omega):
-    """phi - theta ^ omega in one pass over the 35 triples, where theta ^
-    omega has the coefficient theta_i omega_jk - theta_j omega_ik +
-    theta_k omega_ij at (i, j, k).  All three are read off over one
-    denominator L, as (X + sqrt(d) Y) / L, so the result is
-    (L X - T ^ W) / L^2, taken in int pairs."""
-    x, y, d, den = read_off(
-        [phi.terms.get(t, ZERO) for t in _TRIPLES]
-        + list(theta)
-        + [omega.terms.get(p, ZERO) for p in _PAIRS]
-    )
+    """phi - theta ^ omega over the 35 triples.  All three are read off
+    over one denominator L, as (X + sqrt(d) Y) / L, so the result is
+    (L X - T ^ W) / L^2 in int pairs, with -T ^ W taken by the minor
+    kernel's `_wedge_row`: one wedge over Q, four over Q(sqrt d)."""
+    coeffs = [phi.terms.get(t, ZERO) for t in _TRIPLES] + list(theta)
+    x, y, d, den = read_off(coeffs + [omega.terms.get(p, ZERO) for p in _PAIRS])
     y = y or [0] * len(x)
-    at = {p: n for n, p in enumerate(_PAIRS, 42)}  # omega after phi, theta
-    terms = {}
-    for n, (i, j, k) in enumerate(_TRIPLES):
-        r, s = den * x[n], den * y[n]
-        for a, b, sign in ((34 + i, at[j, k], -1), (34 + j, at[i, k], 1), (34 + k, at[i, j], -1)):
-            r += sign * (x[a] * x[b] + d * y[a] * y[b])
-            s += sign * (x[a] * y[b] + y[a] * x[b])
-        if r or s:
-            terms[i, j, k] = to_scalar(r, s, d, den * den)
+    table = _scatter_table(7, 2)
+    rat, rad = [den * e for e in x[:35]], [den * e for e in y[:35]]
+    tx, ty = [-e for e in x[35:42]], [-e for e in y[35:42]]
+    _wedge_row(rat, tx, x[42:], table)
+    if d:
+        _wedge_row(rat, [d * e for e in ty], y[42:], table)
+        _wedge_row(rad, tx, y[42:], table)
+        _wedge_row(rad, ty, x[42:], table)
+    terms = {t: to_scalar(r, s, d, den * den) for t, r, s in zip(_TRIPLES, rat, rad) if r or s}
     return KForm._trusted(7, 3, terms)
 
 

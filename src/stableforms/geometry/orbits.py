@@ -13,7 +13,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import mul
 from typing import Optional
 
 from ..errors import DimensionError, OrbitError
@@ -124,6 +123,16 @@ def _cubic(x, y, d, monomials):
     return r, s
 
 
+def _quadratic(x, y, d, table):
+    """[(R, S)] with R + sqrt(d) S = sum s v_a v_b over the products (a, b,
+    s) of each entry of `table`, v = X + sqrt(d) Y (Y None if d = 0)."""
+    if not d:
+        return [(sum(s * x[a] * x[b] for a, b, s in e), 0) for e in table]
+    rat = [sum(s * (x[a] * x[b] + d * y[a] * y[b]) for a, b, s in e) for e in table]
+    rad = [sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in e) for e in table]
+    return list(zip(rat, rad))
+
+
 def induced_bilinear(phi):
     """Symmetric form B with B(u,v) = [(u.phi)^(v.phi)^phi] / 6 on the
     reference volume; equals the metric of the model compact-type form.
@@ -151,20 +160,21 @@ def induced_bilinear(phi):
     return SymBilinear(7, rows)
 
 
+# Signature of B -> (orbit, standard orientation); any other is NON_STABLE.
+_ORBITS7 = {
+    (7, 0, 0): (Orbit7.G2, True),
+    (0, 7, 0): (Orbit7.G2, False),
+    (3, 4, 0): (Orbit7.G2_TILDE, True),
+    (4, 3, 0): (Orbit7.G2_TILDE, False),
+}
+
+
 def classify7(phi):
     """Orbit of a 3-form on R^7 plus the orientation it is entered with."""
     _require(phi, 7, 3, "classify7")
     b = induced_bilinear(phi)
     sig = signature(b)
-    if sig == (7, 0, 0):
-        return Class7(Orbit7.G2, True, sig, b)
-    if sig == (0, 7, 0):
-        return Class7(Orbit7.G2, False, sig, b)
-    if sig == (3, 4, 0):
-        return Class7(Orbit7.G2_TILDE, True, sig, b)
-    if sig == (4, 3, 0):
-        return Class7(Orbit7.G2_TILDE, False, sig, b)
-    return Class7(Orbit7.NON_STABLE, None, sig, b)
+    return Class7(*_ORBITS7.get(sig, (Orbit7.NON_STABLE, None)), sig, b)
 
 
 def _classified7(phi, orbit, what):
@@ -181,16 +191,15 @@ def _classified7(phi, orbit, what):
 
 @cache
 def _hitchin_table():
-    """Row j, column i of the table: the (A, B, sign) with A = {i} + a and
-    B the rest of the 5-set {1..6} - {j} after the 2-set a, so that
-    K_ji = sum of sign * rho_A * rho_B; 240 products in all."""
+    """The entries K_ji of K in row-major order, each as the (A, B, sign)
+    with A = {i} + a and B the rest of the 5-set {1..6} - {j} after the
+    2-set a, so that K_ji = sum of sign * rho_A * rho_B; 240 products."""
     at = {t: n for n, t in enumerate(_TRIPLES6)}
     full = range(1, 7)
     table = []
     for j in full:
         five = tuple(k for k in full if k != j)
         sign_j = 1 if j & 1 else -1  # e_j . vol = (-1)^(j-1) * e_five
-        row = []
         for i in full:
             entry = []
             for a in combinations(five, 2):
@@ -200,56 +209,42 @@ def _hitchin_table():
                 b = tuple(k for k in five if k not in a)
                 s_wedge = sort_signed(a + b)[1]
                 entry.append((at[t], at[b], sign_j * s_contract * s_wedge))
-            row.append(tuple(entry))
-        table.append(tuple(row))
+            table.append(tuple(entry))
     return tuple(table)
+
+
+@cache
+def _trace_table():
+    """trace(K^2) as a one-entry table over the row-major entries of K."""
+    upper = ((i, j) for j in range(6) for i in range(j + 1))
+    return (tuple((6 * i + j, 6 * j + i, 1 + (i < j)) for i, j in upper),)
 
 
 def hitchin_endomorphism(rho):
     """K with K(u) ^ vol = (u . rho) ^ rho under the reference volume.
 
     K_ji is (-1)^(j-1) times the coefficient of (e_i . rho) ^ rho at the
-    5-set missing j, read from a table of (A, B, sign) products of two
-    coefficients of rho.  The products are taken in the integer read-off
-    rho = (X + sqrt(d) Y) / L, so K = (R + sqrt(d) S) / L^2 with
-    R = sum sign (X_A X_B + d Y_A Y_B) and S = sum sign (X_A Y_B + Y_A X_B).
-    A form carrying two different radicands raises ScalarContextError."""
+    5-set missing j, a signed sum of products of two coefficients of rho
+    (`_hitchin_table`), taken by `_quadratic` on the integer read-off
+    rho = (X + sqrt(d) Y) / L and divided by L^2.  A form carrying two
+    different radicands raises ScalarContextError."""
     _require(rho, 6, 3, "hitchin_endomorphism")
     x, y, d, den = read_off([rho.terms.get(t, ZERO) for t in _TRIPLES6])
-    scale = den * den
-    rows = []
-    for table_row in _hitchin_table():
-        row = []
-        for entry in table_row:
-            rat = sum(s * x[a] * x[b] for a, b, s in entry)
-            rad = 0
-            if d:
-                rat += d * sum(s * y[a] * y[b] for a, b, s in entry)
-                rad = sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in entry)
-            row.append(to_scalar(rat, rad, d, scale))
-        rows.append(row)
-    return Endo(6, rows)
+    flat = [to_scalar(r, s, d, den * den) for r, s in _quadratic(x, y, d, _hitchin_table())]
+    return Endo(6, [flat[i : i + 6] for i in range(0, 36, 6)])
 
 
 def hitchin_invariant(rho, endo=None):
     """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
-    equals this multiple of Id.  K is read off as (X + sqrt(d) Y) / L, so
-    the trace is (sum X_ij X_ji + d Y_ij Y_ji + sqrt(d) sum 2 X_ij Y_ji)
-    / L^2, taken in ints."""
+    equals this multiple of Id.  The trace is one `_quadratic` entry on
+    the read-off K = (X + sqrt(d) Y) / L, over L^2."""
     if endo is None:
         endo = hitchin_endomorphism(rho)
     elif endo.dim != 6:
         raise DimensionError(f"hitchin_invariant requires a 6 x 6 K, got {endo.dim} x {endo.dim}")
-    k = endo.entries
-    x, y, d, den = read_off([e for row in k for e in row])
-    xt = [x[j * 6 + i] for i in range(6) for j in range(6)]
-    rat = sum(map(mul, x, xt))
-    rad = 0
-    if d:
-        yt = [y[j * 6 + i] for i in range(6) for j in range(6)]
-        rat += d * sum(map(mul, y, yt))
-        rad = 2 * sum(map(mul, x, yt))
-    return to_scalar(rat, rad, d, 6 * den * den)
+    x, y, d, den = read_off([e for row in endo.entries for e in row])
+    ((r, s),) = _quadratic(x, y, d, _trace_table())
+    return to_scalar(r, s, d, 6 * den * den)
 
 
 def classify6(rho):
@@ -358,7 +353,11 @@ def extension_admissible(rho, omega):
     omega^3 = 6 Pf(omega) vol, and Pf is taken on the integer read-off."""
     _require(rho, 6, 3, "extension_admissible")
     _require(omega, 6, 2, "extension_admissible")
-    cls = classify6(rho)
+    return _extension_admissible(classify6(rho), omega)
+
+
+def _extension_admissible(cls, omega):
+    """extension_admissible for the classified rho and a checked omega."""
     if cls.orbit is Orbit6.DEGENERATE:
         raise OrbitError("degenerate 3-form admits no extension criterion")
     sig = signature(_symmetrized(omega, cls.endo, _HALF))

@@ -17,10 +17,10 @@ unity.
 TrigForm's constructor, sums, wedge and d, and TrigScalar's constructor,
 run on the sparse term algebra of `stableforms.exterior.forms`
 (`_canonical_terms`, `_sum_terms`, `_wedge_terms`, `_add_term`), the
-one that KForm uses, and TrigForm takes its sums, negation and JSON text
-from KForm's base `_SparseForm`; `TrigScalar.__bool__` (non-zero) is what
-lets those helpers drop zero sums.  Only TrigScalar's int-pair sum and
-product accumulate on their own.
+one that KForm uses, and TrigForm takes its sums, negation, equality
+and JSON text from KForm's base `_SparseForm`; `TrigScalar.__bool__`
+(non-zero) is what lets those helpers drop zero sums.  Only TrigScalar's
+int-pair sum and product accumulate on their own.
 """
 
 import operator
@@ -448,16 +448,6 @@ class TrigForm(_SparseForm):
             if c:
                 out[i] = c
         return TrigForm._trusted(self.dim, self.degree, out, self.has_t)
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigForm):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.has_t == other.has_t
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         return (

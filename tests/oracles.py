@@ -7,7 +7,9 @@ code paths, so oracle agreement is meaningful.
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from operator import mul
 
 from stableforms import (
     DimensionError,
@@ -27,15 +29,17 @@ from stableforms import (
     classify6,
     classify7,
     hitchin_endomorphism,
+    induced_bilinear,
+    signature,
     top_coefficient,
 )
 from stableforms.exterior import linalg, square_free_split
 from stableforms.exterior._minors import read_off, to_scalar
 from stableforms.exterior.forms import merge_signed, sort_signed
 from stableforms.exterior.scalar import ZERO, _MIXED, _PLAIN, _PURE
-from stableforms.geometry.hyperplane import _minus_theta_wedge
+from stableforms.geometry.orbits import _TRIPLES6, Class7, _require
 from stableforms.f2 import q_pochhammer
-from stableforms.torus import GaussQ
+from stableforms.torus import GaussQ, TrigForm
 
 
 def perm_sign(perm):
@@ -485,7 +489,7 @@ def frame_hyperplane_split(phi, theta):
     rho6 = _drop_index_one(in_frame)
 
     omega_embedded = phi.contract(u0)
-    rho_embedded = _minus_theta_wedge(phi, theta, omega_embedded)
+    rho_embedded = indexed_minus_theta_wedge(phi, theta, omega_embedded)
 
     return HyperplaneSplit(
         kind=kind,
@@ -1544,7 +1548,187 @@ class FractionScalar:
         raise ValueError(f"malformed scalar literal {text!r}")
 
 
+# -- the hand-written product sums that `_quadratic`, `_wedge_row`, one
+# orbit table and `_SparseForm.__eq__` replaced, verbatim --------------------
+# hitchin_endomorphism walked a nested 6 x 6 table and wrote out the
+# Z[sqrt d] product of each entry; hitchin_invariant took the trace of K^2
+# over transposed read-offs; _minus_theta_wedge indexed theta ^ omega with
+# literal signs; classify7 was an if chain on the signature; KForm and
+# TrigForm each had their own __eq__; _calibration evaluated phi on the
+# plane's vectors.  Only the names differ: `nested_hitchin_table`,
+# `nested_hitchin_endomorphism`, `transposed_hitchin_invariant`,
+# `indexed_minus_theta_wedge`, `chain_classify7`, `kform_eq`, `trigform_eq`
+# (methods as functions) and `evaluate_calibration`.
+
+
+@cache
+def nested_hitchin_table():
+    """Row j, column i of the table: the (A, B, sign) with A = {i} + a and
+    B the rest of the 5-set {1..6} - {j} after the 2-set a, so that
+    K_ji = sum of sign * rho_A * rho_B; 240 products in all."""
+    at = {t: n for n, t in enumerate(_TRIPLES6)}
+    full = range(1, 7)
+    table = []
+    for j in full:
+        five = tuple(k for k in full if k != j)
+        sign_j = 1 if j & 1 else -1  # e_j . vol = (-1)^(j-1) * e_five
+        row = []
+        for i in full:
+            entry = []
+            for a in combinations(five, 2):
+                if i in a:
+                    continue
+                t, s_contract = sort_signed((i,) + a)
+                b = tuple(k for k in five if k not in a)
+                s_wedge = sort_signed(a + b)[1]
+                entry.append((at[t], at[b], sign_j * s_contract * s_wedge))
+            row.append(tuple(entry))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def nested_hitchin_endomorphism(rho):
+    """K with K(u) ^ vol = (u . rho) ^ rho under the reference volume.
+
+    K_ji is (-1)^(j-1) times the coefficient of (e_i . rho) ^ rho at the
+    5-set missing j, read from a table of (A, B, sign) products of two
+    coefficients of rho.  The products are taken in the integer read-off
+    rho = (X + sqrt(d) Y) / L, so K = (R + sqrt(d) S) / L^2 with
+    R = sum sign (X_A X_B + d Y_A Y_B) and S = sum sign (X_A Y_B + Y_A X_B).
+    A form carrying two different radicands raises ScalarContextError."""
+    _require(rho, 6, 3, "hitchin_endomorphism")
+    x, y, d, den = read_off([rho.terms.get(t, ZERO) for t in _TRIPLES6])
+    scale = den * den
+    rows = []
+    for table_row in nested_hitchin_table():
+        row = []
+        for entry in table_row:
+            rat = sum(s * x[a] * x[b] for a, b, s in entry)
+            rad = 0
+            if d:
+                rat += d * sum(s * y[a] * y[b] for a, b, s in entry)
+                rad = sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in entry)
+            row.append(to_scalar(rat, rad, d, scale))
+        rows.append(row)
+    return Endo(6, rows)
+
+
+def transposed_hitchin_invariant(rho, endo=None):
+    """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
+    equals this multiple of Id.  K is read off as (X + sqrt(d) Y) / L, so
+    the trace is (sum X_ij X_ji + d Y_ij Y_ji + sqrt(d) sum 2 X_ij Y_ji)
+    / L^2, taken in ints."""
+    if endo is None:
+        endo = nested_hitchin_endomorphism(rho)
+    elif endo.dim != 6:
+        raise DimensionError(f"hitchin_invariant requires a 6 x 6 K, got {endo.dim} x {endo.dim}")
+    k = endo.entries
+    x, y, d, den = read_off([e for row in k for e in row])
+    xt = [x[j * 6 + i] for i in range(6) for j in range(6)]
+    rat = sum(map(mul, x, xt))
+    rad = 0
+    if d:
+        yt = [y[j * 6 + i] for i in range(6) for j in range(6)]
+        rat += d * sum(map(mul, y, yt))
+        rad = 2 * sum(map(mul, x, yt))
+    return to_scalar(rat, rad, d, 6 * den * den)
+
+
+def indexed_minus_theta_wedge(phi, theta, omega):
+    """phi - theta ^ omega in one pass over the 35 triples, where theta ^
+    omega has the coefficient theta_i omega_jk - theta_j omega_ik +
+    theta_k omega_ij at (i, j, k).  All three are read off over one
+    denominator L, as (X + sqrt(d) Y) / L, so the result is
+    (L X - T ^ W) / L^2, taken in int pairs."""
+    x, y, d, den = read_off(
+        [phi.terms.get(t, ZERO) for t in _TRIPLES7]
+        + list(theta)
+        + [omega.terms.get(p, ZERO) for p in _PAIRS7]
+    )
+    y = y or [0] * len(x)
+    at = {p: n for n, p in enumerate(_PAIRS7, 42)}  # omega after phi, theta
+    terms = {}
+    for n, (i, j, k) in enumerate(_TRIPLES7):
+        r, s = den * x[n], den * y[n]
+        for a, b, sign in ((34 + i, at[j, k], -1), (34 + j, at[i, k], 1), (34 + k, at[i, j], -1)):
+            r += sign * (x[a] * x[b] + d * y[a] * y[b])
+            s += sign * (x[a] * y[b] + y[a] * x[b])
+        if r or s:
+            terms[i, j, k] = to_scalar(r, s, d, den * den)
+    return KForm._trusted(7, 3, terms)
+
+
+def chain_classify7(phi):
+    """Orbit of a 3-form on R^7 plus the orientation it is entered with."""
+    _require(phi, 7, 3, "classify7")
+    b = induced_bilinear(phi)
+    sig = signature(b)
+    if sig == (7, 0, 0):
+        return Class7(Orbit7.G2, True, sig, b)
+    if sig == (0, 7, 0):
+        return Class7(Orbit7.G2, False, sig, b)
+    if sig == (3, 4, 0):
+        return Class7(Orbit7.G2_TILDE, True, sig, b)
+    if sig == (4, 3, 0):
+        return Class7(Orbit7.G2_TILDE, False, sig, b)
+    return Class7(Orbit7.NON_STABLE, None, sig, b)
+
+
+def kform_eq(self, other):
+    if not isinstance(other, KForm):
+        return NotImplemented
+    return (
+        self.dim == other.dim
+        and self.degree == other.degree
+        and self.terms == other.terms
+    )
+
+
+def trigform_eq(self, other):
+    if not isinstance(other, TrigForm):
+        return NotImplemented
+    return (
+        self.dim == other.dim
+        and self.degree == other.degree
+        and self.has_t == other.has_t
+        and self.terms == other.terms
+    )
+
+
+def evaluate_calibration(phi, cls, plane):
+    """(phi on the plane's basis, determinant of the plane's Gram matrix
+    under B) when the plane is calibrated for the classified form --
+    positively calibrated (spacelike as well) for a split-type form --
+    else None."""
+    val = phi.evaluate(*plane.vectors)
+    if val.sign() <= 0:
+        return None
+    gram = cls.bilinear.restrict(plane.vectors)
+    if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
+        return None
+    lhs = val ** 6 * linalg.det(cls.bilinear.entries)
+    det_gram = linalg.det(gram.entries)
+    if lhs != det_gram ** 3:
+        return None
+    return val, det_gram
+
+
 # -- random generators -----------------------------------------------------
+
+
+def field_scalar(rng, d, den=1):
+    """A non-zero element of Q(sqrt d) (of Q when d = 0) with parts p / den."""
+    while True:
+        c = Scalar(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den), d)
+        if c:
+            return c
+
+
+def field_form(rng, dim, degree, d, max_terms, den=1):
+    """A random form with up to max_terms coefficients in Q(sqrt d)."""
+    idx = list(combinations(range(1, dim + 1), degree))
+    picked = rng.sample(idx, rng.randint(1, max_terms))
+    return KForm(dim, degree, {t: field_scalar(rng, d, den) for t in picked})
 
 
 def rand_matrix(rng, n, lo=-2, hi=2):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import rand_glplus, rand_vector
+from oracles import evaluate_calibration, rand_glplus, rand_vector
 from stableforms import (
     KForm,
     NotCalibratedError,
@@ -20,6 +20,7 @@ from stableforms import (
 )
 from stableforms.geometry import calibration
 from stableforms.exterior import linalg
+from stableforms.errors import DimensionError
 from stableforms.geometry.planes import OrientedPlane
 
 PHI = standard_form("g2")
@@ -216,3 +217,51 @@ def test_swap_is_involution_over_radicals():
     cls = classify7(swapped)
     assert cls.orbit is Orbit7.G2_TILDE and cls.standard_orientation
     assert calibrated_swap(swapped, pl) == phi
+
+
+def test_calibration_on_the_stored_trivector_matches_evaluate():
+    """_calibration, reading phi(v1, v2, v3) off the plane's trivector,
+    equals the evaluate path it replaced; is_calibrated,
+    is_positively_calibrated and calibrated_swap follow it exactly, over
+    Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), on calibrated, uncalibrated,
+    reversed-orientation and timelike planes."""
+    rng = random.Random(37)
+    # model planes: calibrated, reversed, uncalibrated; for the split form
+    # (2, 4, 6) and (1, 5, 4) are timelike with phi positive on them
+    model_planes = {
+        "g2": [(1, 2, 3), (2, 4, 6), (2, 1, 3), (1, 2, 4), (3, 5, 6)],
+        "split_g2": [(1, 2, 3), (2, 1, 3), (2, 4, 6), (1, 5, 4), (4, 5, 6), (1, 2, 4)],
+    }
+    verdicts = set()
+    for d in (0, 2, 3, 5):
+        for name, triples in model_planes.items():
+            a = radical_glplus(rng, d) if d else rand_glplus(rng, 7)
+            phi = pullback(a, standard_form(name))
+            cls = classify7(phi)
+            ainv = linalg.inverse(a)
+            planes = []
+            for idx in triples:
+                vecs = [linalg.mat_vec(ainv, e7(i)) for i in idx]
+                planes.append(OrientedPlane(7, vecs))
+                planes.append(OrientedPlane(7, linalg.mat_mul(rand_glplus(rng, 3), vecs)))
+            planes.append(OrientedPlane(7, [rand_vector(rng, 7) for _ in range(3)]))
+            for pl in planes:
+                want = evaluate_calibration(phi, cls, pl)
+                assert calibration._calibration(phi, cls, pl) == want
+                verdicts.add((name, want is not None))
+                check = is_calibrated if name == "g2" else is_positively_calibrated
+                assert check(phi, pl) == (want is not None)
+                if want is None:
+                    with pytest.raises(NotCalibratedError):
+                        calibrated_swap(phi, pl)
+                else:
+                    assert calibrated_swap(phi, pl) == projection_swap(phi, pl)
+    assert len(verdicts) == 4
+
+
+def test_calibration_refuses_a_plane_of_another_dimension():
+    plane6 = OrientedPlane(6, [[1 if j == i else 0 for j in range(6)] for i in range(3)])
+    with pytest.raises(DimensionError):
+        is_calibrated(PHI, plane6)
+    with pytest.raises(DimensionError):
+        calibrated_swap(PHI, plane6)

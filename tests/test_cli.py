@@ -380,6 +380,55 @@ def test_extend_check_pair(capsys):
     assert payload["result"]["admissible"] is False
 
 
+def test_decompose_and_extend_check_classify_rho_once(capsys, monkeypatch):
+    """Each command classifies its 6-form once: the CLI hands the class it
+    printed to the admissibility test."""
+    from stableforms import cli
+    from stableforms.geometry import orbits
+
+    calls = []
+    original = orbits.classify6
+
+    def counted(rho):
+        calls.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(orbits, "classify6", counted)
+    monkeypatch.setattr(cli, "classify6", counted)
+    for argv in (
+        ["decompose", fx("split_g2.json"), "--theta", "0,0,0,0,0,0,1"],
+        ["decompose", fx("split_g2.json"), "--theta", "1,0,0,0,0,0,0"],
+        ["extend-check", fx("sl3r2.json"), fx("omega_para.json")],
+        ["extend-check", fx("sl3c.json"), fx("omega_cplx_good.json")],
+    ):
+        calls.clear()
+        code, payload, _ = run_cli(capsys, *argv)
+        assert code == 0 and payload["result"]["rho_orbit"] in ("SL3C", "SL3R2")
+        assert len(calls) == 1
+
+
+def test_extend_check_refusals_keep_their_message(tmp_path, capsys):
+    """A wrongly shaped omega, before or after a degenerate rho, and a
+    degenerate rho exit 3 with the messages extension_admissible gives."""
+    from stableforms import DimensionError, KForm, OrbitError, extension_admissible
+
+    degenerate = KForm.basis(6, (1, 2, 3))
+    wrong = KForm.basis(6, (1, 2, 3))
+    good_omega = KForm.from_json(json.loads(Path(fx("omega_para.json")).read_text()))
+    rho = KForm.from_json(json.loads(Path(fx("sl3r2.json")).read_text()))
+    for r, o in ((rho, wrong), (degenerate, wrong), (degenerate, good_omega)):
+        paths = []
+        for n, form in enumerate((r, o)):
+            path = tmp_path / f"{n}.json"
+            path.write_text(form.to_json_str())
+            paths.append(str(path))
+        with pytest.raises((DimensionError, OrbitError)) as raised:
+            extension_admissible(r, o)
+        code, payload, err = run_cli(capsys, "extend-check", *paths)
+        assert code == 3 and payload is None
+        assert err == f"error: {raised.value}\n"
+
+
 def test_extend_check_degenerate_exits_3(tmp_path, capsys):
     from stableforms import KForm
 

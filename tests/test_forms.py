@@ -7,12 +7,14 @@ import pytest
 
 from oracles import (
     counting_merge_signed,
+    kform_eq,
     naive_contract,
     naive_eval,
     naive_wedge,
     rand_kform,
     rand_matrix,
     rand_vector,
+    trigform_eq,
 )
 from stableforms import (
     DimensionError,
@@ -30,6 +32,7 @@ from stableforms import (
 )
 from stableforms.errors import DegenerateMetricError
 from stableforms.exterior.forms import merge_signed
+from stableforms.torus import TrigForm
 
 E = KForm.basis
 
@@ -87,6 +90,59 @@ def test_sums_refuse_foreign_operands():
             other - a
         with pytest.raises(TypeError):
             a.wedge(other)
+
+
+def replaced_eq(a, b):
+    """a == b under the KForm and TrigForm __eq__ methods that
+    _SparseForm.__eq__ replaced, with Python's reflected fallback."""
+    for x, y in ((a, b), (b, a)):
+        method = {KForm: kform_eq, TrigForm: trigform_eq}.get(type(x))
+        got = NotImplemented if method is None else method(x, y)
+        if got is not NotImplemented:
+            return got
+    return a is b
+
+
+def test_equality_is_the_per_class_equality_it_replaced():
+    k = KForm(6, 2, {(1, 2): 1, (3, 4): Scalar(0, 1, 2)})
+    kforms = [
+        k,
+        KForm(6, 2, k.terms),
+        KForm(6, 2, {(1, 2): 1}),
+        KForm(7, 2, k.terms),
+        KForm(6, 2),
+        KForm(6, 3),
+    ]
+    t = TrigForm(3, 1, {(1,): 1, (2,): Fraction(1, 2)})
+    trigs = [
+        t,
+        TrigForm(3, 1, t.terms),
+        t.with_t(),
+        TrigForm(3, 1, {(1,): 1}),
+        TrigForm(4, 1, {(1,): 1}),
+        TrigForm(3, 1),
+        TrigForm(3, 1, has_t=True),
+        TrigForm(3, 2),
+    ]
+    one = KForm(6, 0, {(): 1})
+    others = [1, 0, None, "x", Scalar(1), k.terms, TrigForm.from_kform(KForm(3, 1, {(1,): 1}))]
+    for a in kforms + trigs + [one]:
+        for b in kforms + trigs + others + [one]:
+            assert (a == b) is replaced_eq(a, b)
+            assert (b == a) is replaced_eq(b, a)
+            assert (a != b) is not replaced_eq(a, b)
+    # a KForm never equals a TrigForm, either way round
+    kf = KForm(3, 1, {(1,): 1})
+    tf = TrigForm.from_kform(kf)
+    assert kf.__eq__(tf) is NotImplemented and tf.__eq__(kf) is NotImplemented
+    assert not kf == tf and not tf == kf and kf != tf
+    # a form is not the number it holds
+    assert not one == 1 and not 1 == one and one != 1
+    # TrigForms that differ only in has_t are unequal
+    assert t.terms == t.with_t().terms and t != t.with_t() and not t == t.with_t()
+    for form in (k, one, t, t.with_t()):
+        with pytest.raises(TypeError):
+            hash(form)
 
 
 def test_merge_signed_matches_the_inversion_count():

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import frame_hyperplane_split, naive_wedge, rand_glplus
+from oracles import (
+    field_form,
+    field_scalar,
+    frame_hyperplane_split,
+    indexed_minus_theta_wedge,
+    naive_wedge,
+    rand_glplus,
+)
 from stableforms import (
     DimensionError,
     HyperplaneKind,
@@ -19,6 +26,7 @@ from stableforms import (
     standard_form,
 )
 from stableforms.exterior import linalg
+from stableforms.geometry.hyperplane import _minus_theta_wedge
 
 SPLIT = standard_form("split_g2")
 
@@ -91,6 +99,26 @@ def test_rho_embedded_matches_the_shuffle_wedge():
             assert s.rho_embedded == phi - naive_wedge(s.theta_form(), s.omega_embedded)
             assert s.reconstructed() == phi
             done += 1
+
+
+def test_theta_wedge_on_the_scatter_table_matches_the_indexed_sum():
+    """_minus_theta_wedge through `_wedge_row` equals the indexed sum with
+    literal signs it replaced, exactly, on dense, sparse, degenerate and
+    fractional inputs over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5)."""
+    rng = random.Random(933)
+    for d in (0, 2, 3, 5):
+        dense = pullback(rand_glplus(rng, 7), SPLIT) * Scalar(Fraction(1, 3), 1, d)
+        for n in range(8):
+            phi = dense if n < 2 else field_form(rng, 7, 3, d, rng.choice((3, 35)), den=rng.randint(1, 6))
+            omega = field_form(rng, 7, 2, d, rng.choice((2, 21)), den=rng.randint(1, 6))
+            theta = [field_scalar(rng, d, rng.randint(1, 4)) if rng.random() < 0.7 else Scalar(0) for _ in range(7)]
+            if n == 1:
+                omega = KForm.zero(7, 2)
+            cases = [(phi, theta, omega), (phi, [Scalar(0)] * 7, omega), (KForm.zero(7, 3), theta, omega)]
+            for args in cases:
+                assert _minus_theta_wedge(*args) == indexed_minus_theta_wedge(*args)
+            theta_form = KForm(7, 1, {(i + 1,): c for i, c in enumerate(theta)})
+            assert _minus_theta_wedge(phi, theta, omega) == phi - naive_wedge(theta_form, omega)
 
 
 def test_split_matches_the_frame_pullback():

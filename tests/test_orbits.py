@@ -3,20 +3,24 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import stableforms
 from oracles import (
+    chain_classify7,
+    field_form,
+    field_scalar,
     float_mat_mul,
     float_matrix,
     naive_induced_bilinear,
     naive_wedge,
+    nested_hitchin_endomorphism,
     partition_induced_bilinear,
     rand_glplus,
     rand_kform,
+    transposed_hitchin_invariant,
 )
 from stableforms import (
     DimensionError,
@@ -96,11 +100,11 @@ def assert_matches_oracle(phi):
     assert b == partition_induced_bilinear(phi)
 
 
-def rand_radical_glplus(rng, d):
+def rand_radical_glplus(rng, d, n=7):
     """GL+ matrix over Q(sqrt(d)) with one irrational entry."""
     while True:
-        m = [list(row) for row in rand_glplus(rng, 7)]
-        m[rng.randrange(7)][rng.randrange(7)] += Scalar(0, rng.choice((1, -1, 2)), d)
+        m = [list(row) for row in rand_glplus(rng, n)]
+        m[rng.randrange(n)][rng.randrange(n)] += Scalar(0, rng.choice((1, -1, 2)), d)
         if linalg.det(m).sign() > 0:
             return m
 
@@ -139,21 +143,6 @@ def test_induced_bilinear_oracle_fractional_coefficients():
     assert_matches_oracle(pullback(a, standard_form("g2")) * Scalar(Fraction(2, 3)))
     radical = pullback(rand_radical_glplus(rng, 2), standard_form("split_g2"))
     assert_matches_oracle(radical + KForm.basis(7, (1, 5, 7), Scalar(Fraction(1, 6), Fraction(-3, 10), 2)))
-
-
-def field_scalar(rng, d, den=1):
-    """A non-zero element of Q(sqrt d) (of Q when d = 0) with parts p / den."""
-    while True:
-        c = Scalar(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den), d)
-        if c:
-            return c
-
-
-def field_form(rng, dim, degree, d, max_terms, den=1):
-    """A random form with up to max_terms coefficients in Q(sqrt d)."""
-    idx = list(combinations(range(1, dim + 1), degree))
-    picked = rng.sample(idx, rng.randint(1, max_terms))
-    return KForm(dim, degree, {t: field_scalar(rng, d, den) for t in picked})
 
 
 def test_cubic_matches_partition_kernel_over_four_fields():
@@ -209,10 +198,68 @@ def test_import_builds_no_table():
     src = str(Path(stableforms.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     misses = json.loads(out.stdout)
-    for name in ("_cubic_table", "_hitchin_table", "_pfaffian_table"):
+    for name in ("_cubic_table", "_hitchin_table", "_trace_table", "_pfaffian_table"):
         assert misses["stableforms.geometry.orbits." + name] == 0
     assert misses["stableforms.exterior._minors._scatter_table"] == 0
     assert not any(misses.values())
+
+
+def test_quadratic_matches_the_written_out_sums_over_four_fields():
+    """hitchin_endomorphism and hitchin_invariant, taken by `_quadratic`,
+    equal the nested-table and transposed-trace sums they replaced exactly
+    on dense, sparse, degenerate and fractional inputs over Q, Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 5)."""
+    rng = random.Random(924)
+    for d in (0, 2, 3, 5):
+        for name in ("sl3c", "sl3r2"):
+            a = rand_radical_glplus(rng, d, 6) if d else rand_glplus(rng, 6)
+            dense = pullback(a, standard_form(name))
+            cases = [
+                dense,
+                dense * field_scalar(rng, d, 7) + field_form(rng, 6, 3, d, 6, den=6),
+                KForm(6, 3, {t: c for t, c in dense.terms.items() if 6 not in t}),
+                field_form(rng, 6, 3, d, 20, den=rng.randint(1, 6)),
+            ]
+            cases += [field_form(rng, 6, 3, d, rng.randint(1, 6)) for _ in range(4)]
+            cases += [KForm.basis(6, (1, 2, 3), field_scalar(rng, d)), KForm.zero(6, 3)]
+            for rho in cases:
+                k = hitchin_endomorphism(rho)
+                assert k == nested_hitchin_endomorphism(rho)
+                assert hitchin_invariant(rho) == transposed_hitchin_invariant(rho)
+                assert hitchin_invariant(None, k) == transposed_hitchin_invariant(None, k)
+            # without index 6 the form is degenerate
+            assert not hitchin_invariant(cases[2])
+            for _ in range(4):
+                rows = [[field_scalar(rng, d, rng.randint(1, 5)) if rng.random() < 0.6 else 0 for _ in range(6)] for _ in range(6)]
+                assert hitchin_invariant(None, Endo(6, rows)) == transposed_hitchin_invariant(None, Endo(6, rows))
+            if d:
+                assert any(not c.is_rational for c in dense.terms.values())
+
+
+def test_orbit_table_matches_the_if_chain_over_four_fields():
+    """classify7's signature table equals the if chain it replaced on
+    dense, sparse, degenerate and fractional forms over the four fields,
+    and the cases reach all five outcomes."""
+    rng = random.Random(925)
+    seen = set()
+    for d in (0, 2, 3, 5):
+        for name in ("g2", "split_g2"):
+            a = rand_radical_glplus(rng, d) if d else rand_glplus(rng, 7)
+            dense = pullback(a, standard_form(name))
+            cases = [
+                dense,
+                -dense,
+                dense * field_scalar(rng, d, 7) + field_form(rng, 7, 3, d, 4, den=6),
+                KForm(7, 3, {t: c for t, c in dense.terms.items() if 7 not in t}),
+                field_form(rng, 7, 3, d, 35, den=rng.randint(1, 6)),
+                KForm.zero(7, 3),
+            ]
+            cases += [field_form(rng, 7, 3, d, rng.randint(1, 8)) for _ in range(4)]
+            for phi in cases:
+                cls = classify7(phi)
+                assert cls == chain_classify7(phi)
+                seen.add((cls.orbit, cls.standard_orientation))
+    assert len(seen) == 5
 
 
 def test_pfaffian_is_a_sixth_of_the_cube():
