@@ -8,17 +8,19 @@ Scalars enter through `read_off`.  Each Scalar already is ints
 (p + q sqrt(d)) / den, so a list of values v_i becomes integer vectors
 X, Y over one common denominator L, the lcm of the dens, with
 v_i = (X_i + Y_i sqrt(d)) / L for the single radicand d of the list.
-Over Q(sqrt(d)) every wedge splits by linearity into wedges of the
-rational and radical int halves.  Only the results become Scalars
-again, through `scalar.to_scalar`.  `linalg` and `bilinear.signature`
-work on the same read-off: `signature` by symmetric fraction-free
-elimination (Bareiss), counting its pivots by Jacobi's rule and taking
-a 2 x 2 pivot on a zero diagonal.
+Only the results become Scalars again, through `scalar.to_scalar`.
+Over Q(sqrt(d)) the integer loops run on packed ints (Kronecker
+substitution): `pack` writes X + sqrt(d) Y as X + 2^s Y, the value at
+t = 2^s of X + t Y, so a sum of products of packed ints is the value at
+2^s of the same sum in Z[t].  With s from the digit bound of `shift`,
+`unpack` reads its coefficients back and folds them with t^2 = d.
+Elimination (`linalg.rref`, `bilinear.signature`) keeps int pairs: it
+divides exactly, and a packed int need not divide where its value does.
 """
 
 from functools import cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .scalar import join_radicands, to_scalar
 
@@ -36,6 +38,60 @@ def read_off(values, d=0):
     x = [v.p * (den // v.den) for v in values]
     y = [v.q * (den // v.den) for v in values] if d else None
     return x, y, d, den
+
+
+class Table(tuple):
+    """A cached table of signed-product sums; `weight` is their W in `shift`."""
+
+    def __new__(cls, entries, weight):
+        table = super().__new__(cls, entries)
+        table.weight = weight
+        return table
+
+
+def bound(x, y=None):
+    """The largest |entry| of the int vectors x and y."""
+    return max(max(map(abs, x), default=0), max(map(abs, y or ()), default=0))
+
+
+def shift(weight, m, bound):
+    """The s of `pack` for sums of at most `weight` signed products of m
+    packed factors X_i + t Y_i, |X_i| and |Y_i| at most M_i, and `bound`
+    = prod M_i.  The coefficient c_j of t^j sums at most weight * C(m, j)
+    products of halves, so |c_j| <= weight 2^m prod M_i < 2^(s - 2) for
+    s = bit_length(weight 2^m prod M_i) + 2: `unpack` reads it back."""
+    return (weight * bound << m).bit_length() + 2
+
+
+def pack(x, y, s):
+    """The packed ints X + 2^s Y; x itself when y is None (rational)."""
+    return [a + (b << s) for a, b in zip(x, y)] if y else x
+
+
+def scalars(sums, s, d, den):
+    """{key: n / den} over the (key, n) pairs `sums` of non-zero value, n
+    unpacked to R + sqrt(d) S over Q(sqrt(d))."""
+    if not d:
+        return {key: to_scalar(n, 0, 0, den) for key, n in sums if n}
+    pairs = ((key, unpack(n, s, d)) for key, n in sums)
+    return {key: to_scalar(r, t, d, den) for key, (r, t) in pairs if r or t}
+
+
+def unpack(n, s, d):
+    """(R, S) = (Σ c_2i d^i, Σ c_2i+1 d^i) for the polynomial Σ c_j t^j
+    with value n at t = 2^s and every c_j in [-2^(s-1), 2^(s-1)): its
+    signed base-2^s digits, read two at a time."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    r, t, power = 0, 0, 1
+    while n:
+        c = ((n + half) & mask) - half
+        n = (n - c) >> s
+        e = ((n + half) & mask) - half
+        n = (n - e) >> s
+        r += c * power
+        t += e * power
+        power *= d
+    return r, t
 
 
 @cache
@@ -76,11 +132,10 @@ def minor_sums(terms, matrix):
     width.  Degree 0 gives {(): c}.  The sum is the pullback
     Σ_I c_I row_I1 ^ ... ^ row_Ik, taken by Horner's rule over index
     prefixes: the part with prefix P is Σ_r row_r ^ (the part with prefix
-    P + (r,)), so k steps of `_wedge_row` give it.  Over Q(sqrt(d)) a row
-    X + sqrt(d) Y and a part f0 + sqrt(d) f1 give the rational half
-    X^f0 + dY^f1 and the radical half X^f1 + Y^f0, with the wedges of Y
-    skipped when Y is zero.  Coefficients and matrix must share one
-    radicand, else ScalarContextError."""
+    P + (r,)), so k steps of `_wedge_row` give it.  Over Q(sqrt(d)) the
+    coefficients and rows are packed ints: each sum is one of
+    len(terms) * k! signed products of k + 1 factors.  Coefficients and
+    matrix must share one radicand, else ScalarContextError."""
     items = [(idx, c) for idx, c in terms.items() if c]
     if not items:
         return {}
@@ -89,34 +144,19 @@ def minor_sums(terms, matrix):
         return {(): items[0][1]}
     x, y, d, cden = read_off([c for _, c in items])
     mx, my, d, mden = read_off([e for row in matrix for e in row], d)
+    s = d and shift(len(items) * factorial(k), k + 1, bound(x, y) * bound(mx, my) ** k)
+    x, mx = pack(x, y, s), pack(mx, my, s)
     width = len(matrix[0])
-    rows = []
-    for i in range(len(matrix)):
-        cut = slice(i * width, (i + 1) * width)
-        ry = my[cut] if d and any(my[cut]) else None
-        rows.append((mx[cut], ry and [d * e for e in ry], ry))
-    y = y or [0] * len(x)
-    parts = {idx: ([a], [b]) for (idx, _), a, b in zip(items, x, y)}
+    rows = [mx[i * width : (i + 1) * width] for i in range(len(matrix))]
+    parts = {idx: [a] for (idx, _), a in zip(items, x)}
     for h in range(k):
         table = _scatter_table(width, h)
         size = comb(width, h + 1)
         grown = {}
-        for idx, (f0, f1) in parts.items():
+        for idx, f in parts.items():
             acc = grown.get(idx[:-1])
             if acc is None:
-                acc = grown[idx[:-1]] = ([0] * size, [0] * size)
-            rx, rdy, ry = rows[idx[-1] - 1]
-            _wedge_row(acc[0], rx, f0, table)
-            if d:
-                _wedge_row(acc[1], rx, f1, table)
-                if ry:
-                    _wedge_row(acc[0], rdy, f1, table)
-                    _wedge_row(acc[1], ry, f0, table)
+                acc = grown[idx[:-1]] = [0] * size
+            _wedge_row(acc, rows[idx[-1] - 1], f, table)
         parts = grown
-    rat, rad = parts[()]
-    den = cden * mden**k
-    return {
-        J: to_scalar(p, q, d, den)
-        for J, p, q in zip(combinations(range(1, width + 1), k), rat, rad)
-        if p or q
-    }
+    return scalars(zip(combinations(range(1, width + 1), k), parts[()]), s, d, cden * mden**k)

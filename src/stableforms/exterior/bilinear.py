@@ -6,7 +6,7 @@ from typing import NamedTuple
 from ..errors import DimensionError
 from . import linalg
 from ._minors import read_off, to_scalar
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 
 
 class Signature(NamedTuple):
@@ -108,7 +108,12 @@ class Endo(_SquareMatrix):
 
 
 def signature(b):
-    """Exact (pos, neg, null) of a symmetric bilinear form.
+    """Exact (pos, neg, null) of a symmetric bilinear form (`_signature`)."""
+    return _signature(b)[0]
+
+
+def _signature(b):
+    """(signature, det B) of a symmetric bilinear form.
 
     Symmetric fraction-free elimination (Bareiss 1968) on the integer
     read-off A = L*B (L > 0 keeps every sign), in ints or in int pairs
@@ -125,9 +130,11 @@ def signature(b):
     Whatever is left once the trailing block is zero is the null part.
     Signs are taken on the pivots only.  The entries must share one
     radicand, else ScalarContextError.
+    The permutations and the congruence keep the determinant, so the last
+    pivot of a full-rank B is det(L*B): det B = (last pivot) / L^n.
     """
     n = b.dim
-    x, y, d, _ = read_off([e for row in b.entries for e in row])
+    x, y, d, den = read_off([e for row in b.entries for e in row])
     if d:
         rows = linalg._int_rows(list(zip(x, y)), n, n)
         zero, prev, step = (0, 0), (1, 0), linalg._pair_step(d)
@@ -169,4 +176,5 @@ def signature(b):
             f = row.pop(k)
             rows[i] = step(p, f, row, top, prev)
         prev = p
-    return Signature(pos, neg, n - pos - neg)
+    det = ZERO if rows else to_scalar(*(prev if d else (prev, 0)), d, den**n)
+    return Signature(pos, neg, n - pos - neg), det

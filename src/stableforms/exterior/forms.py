@@ -19,7 +19,7 @@ import operator
 
 from ..errors import DegenerateMetricError, DimensionError
 from . import linalg
-from ._minors import minor_sums, read_off, to_scalar
+from ._minors import bound, minor_sums, pack, read_off, scalars, shift
 from .scalar import ZERO, Scalar
 
 MAX_DIM = 8
@@ -232,29 +232,25 @@ class KForm(_SparseForm):
     def contract(self, u):
         """Interior product: (u . alpha)(v1..) = alpha(u, v1..).  u and the
         coefficients are read off once as ints over one denominator L; each
-        output coefficient sums +-u_i c_I in ints (int pairs over
-        Q(sqrt(d))) and becomes a Scalar over L^2."""
+        output coefficient sums at most dim products +-u_i c_I in ints
+        (packed ints over Q(sqrt(d))) and becomes a Scalar over L^2."""
         if self.degree < 1:
             raise DimensionError("cannot contract a degree-0 form")
         u = linalg.coerce_vector(u)
         if len(u) != self.dim:
             raise DimensionError("vector length does not match dimension")
         x, y, d, den = read_off(u + tuple(self.terms.values()))
-        y = y or [0] * len(x)
-        rat, rad = {}, {}
+        s = d and shift(self.dim, 2, bound(x, y) ** 2)
+        x = pack(x, y, s)
+        sums = {}
         for k, idx in enumerate(self.terms, len(u)):
-            c, e = x[k], y[k]
+            c = x[k]
             for p, i in enumerate(idx):
-                a, b = x[i - 1], y[i - 1]
-                if a or b:
-                    if p & 1:
-                        a, b = -a, -b
+                a = x[i - 1]
+                if a:
                     rest = idx[:p] + idx[p + 1 :]
-                    rat[rest] = rat.get(rest, 0) + a * c + d * b * e
-                    rad[rest] = rad.get(rest, 0) + a * e + b * c
-        den *= den
-        out = {rest: to_scalar(r, rad[rest], d, den) for rest, r in rat.items() if r or rad[rest]}
-        return KForm._trusted(self.dim, self.degree - 1, out)
+                    sums[rest] = sums.get(rest, 0) + (-a * c if p & 1 else a * c)
+        return KForm._trusted(self.dim, self.degree - 1, scalars(sums.items(), s, d, den * den))
 
     def pullback(self, matrix):
         """Pullback along the linear map with the given square matrix A:

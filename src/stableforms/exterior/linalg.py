@@ -1,15 +1,18 @@
 """Dense exact linear algebra over Scalar entries.
 
 Matrices are tuples of row tuples.  Dimensions stay tiny (at most 8).
-Every routine reads its entries off as integers with `_minors.read_off`
-(Python ints over Q, int pairs p + q sqrt(d) over Q(sqrt(d))), works in
-those and builds Scalars only for its result:
+Every routine reads its entries off as integers with `_minors.read_off`,
+works in those and builds Scalars only for its result:
 - `det` is the top-degree minor sum of `_minors.minor_sums`, the
   wedge of the n rows taken one row at a time;
-- `mat_mul`, `mat_vec` and `gram` share one integer matrix product;
+- `mat_mul`, `mat_vec` and `gram` share one integer matrix product, on
+  packed ints X + 2^s Y over Q(sqrt(d)) (`_minors.pack`, s from the digit
+  bound of `_minors.shift`);
 - `rref` is fraction-free Gauss-Jordan elimination, behind `rank`,
   `kernel`, `inverse` and `solve`; its row steps also drive the
-  symmetric elimination of `bilinear.signature`.
+  symmetric elimination of `bilinear.signature`.  Both keep int pairs
+  p + q sqrt(d): they divide exactly, and a packed int need not divide
+  where its value does.
 Plain ints and Fractions are accepted wherever Scalars are.  The
 read-off takes one radicand per call, so each routine raises
 ScalarContextError on input mixing two, say sqrt(2) and sqrt(3), even
@@ -17,10 +20,11 @@ where no entry meets an entry of the other kind: rref(diag(sqrt(2),
 sqrt(3))) raises.  Inner sizes that disagree raise DimensionError.
 """
 
+from math import prod
 from operator import mul
 
 from ..errors import DimensionError
-from ._minors import minor_sums, read_off, to_scalar
+from ._minors import bound, minor_sums, pack, read_off, shift, to_scalar, unpack
 from .scalar import ONE, ZERO, Scalar
 
 
@@ -58,34 +62,31 @@ def _int_rows(flat, n, width):
 def _product(factors, width):
     """The product of the matrices `factors`, the last with `width`
     columns.  All entries are read off at once as (X + sqrt(d) Y) / L, and
-    the product is accumulated from the right in ints: over Q(sqrt(d)) a
-    factor X + sqrt(d) Y acts as the block matrix [[X, dY], [Y, X]] on the
-    rational part stacked over the radical part.  The entries become
-    Scalars once, over L to the number of factors."""
+    the product is accumulated from the right in ints, packed over
+    Q(sqrt(d)): an entry sums (product of the inner sizes) products of one
+    entry per factor.  They become Scalars once, over L^(factors)."""
     mats = [coerce_matrix(f) for f in factors]
     for a, b in zip(mats, mats[1:]):
         if a and len(a[0]) != len(b):
             raise DimensionError(f"cannot multiply {len(a[0])} columns into {len(b)} rows")
     x, y, d, den = read_off([e for m in mats for row in m for e in row])
+    k = len(mats)
+    s = d and shift(prod(len(b) for b in mats[1:]), k, bound(x, y) ** k)
+    x = pack(x, y, s)
     parts, pos = [], 0
     for m in mats:
         w = len(m[0]) if m else 0
         end = pos + len(m) * w
-        parts.append((_int_rows(x[pos:end], len(m), w), _int_rows(y[pos:end], len(m), w) if d else None))
+        parts.append(_int_rows(x[pos:end], len(m), w))
         pos = end
-    xs, ys = parts.pop()
-    acc = xs + ys if d else xs
-    for xs, ys in reversed(parts):
-        if d:
-            xs = [r + [d * e for e in s] for r, s in zip(xs, ys)] + [s + r for r, s in zip(xs, ys)]
+    acc = parts.pop()
+    for xs in reversed(parts):
         cols = list(zip(*acc)) or [()] * width
         acc = [[sum(map(mul, row, col)) for col in cols] for row in xs]
-    den **= len(mats)
-    n = len(mats[0])
-    rad = acc[n:] if d else [[0] * width] * n
-    return tuple(
-        tuple(to_scalar(p, q, d, den) for p, q in zip(r, s)) for r, s in zip(acc[:n], rad)
-    )
+    den **= k
+    if d:
+        return tuple(tuple(to_scalar(*unpack(n, s, d), d, den) for n in row) for row in acc)
+    return tuple(tuple(to_scalar(n, 0, 0, den) for n in row) for row in acc)
 
 
 def mat_vec(m, v):
@@ -158,20 +159,20 @@ def _int_step(p, f, a, b, prev):
 
 def _pair_step(d):
     """The elimination step on int pairs (s, t) = s + t sqrt(d).  Division
-    by prev = (q0, q1) multiplies by its conjugate and divides both parts
-    exactly by the norm q0^2 - d q1^2."""
+    by prev = (q0, q1) is multiplication by its conjugate, folded into p
+    and f, and exact division of both parts by the norm q0^2 - d q1^2."""
 
     def step(p, f, a, b, prev):
         (p0, p1), (f0, f1), (q0, q1) = p, f, prev
+        if q1:
+            p0, p1 = p0 * q0 - d * p1 * q1, p1 * q0 - p0 * q1
+            f0, f1 = f0 * q0 - d * f1 * q1, f1 * q0 - f0 * q1
+            q0 = q0 * q0 - d * q1 * q1
         dp1, df1 = d * p1, d * f1
-        out = [
-            (p0 * x0 + dp1 * x1 - f0 * y0 - df1 * y1, p0 * x1 + p1 * x0 - f0 * y1 - f1 * y0)
+        return [
+            ((p0 * x0 + dp1 * x1 - f0 * y0 - df1 * y1) // q0, (p0 * x1 + p1 * x0 - f0 * y1 - f1 * y0) // q0)
             for (x0, x1), (y0, y1) in zip(a, b)
         ]
-        if not q1:
-            return [(s // q0, t // q0) for s, t in out]
-        dq1, norm = d * q1, q0 * q0 - d * q1 * q1
-        return [((s * q0 - t * dq1) // norm, (t * q0 - s * q1) // norm) for s, t in out]
 
     return step
 

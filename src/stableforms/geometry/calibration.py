@@ -4,12 +4,13 @@ the compact-type and split-type orbits across a calibrated plane.
 All predicates are polynomial in the induced bilinear form B, so they
 stay in the base field even though the normalized metric involves a
 ninth root of det B: calibration is decided by the sign of phi on the
-oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3.  The
-swap inverts nothing: it reuses det(B|_C) as the denominator of its minors.
+oriented basis together with phi(b)^6 * det(B) == det(B|_C)^3, det B
+from classification.  The swap inverts nothing: it reuses det(B|_C) and
+V B as the denominator and the matrix of its minors.
 """
 
 from ..errors import DimensionError, NotCalibratedError, OrbitError
-from ..exterior import KForm, Scalar, _minors, linalg, signature
+from ..exterior import KForm, Scalar, SymBilinear, _minors, linalg, signature
 from ..exterior.scalar import ZERO
 from .orbits import _TRIPLES, Orbit7, _classified7, classify7
 from .planes import OrientedPlane
@@ -25,25 +26,25 @@ def cross_product(phi, u, v):
 
 
 def _calibration(phi, cls, plane):
-    """(phi on the plane's basis, determinant of the plane's Gram matrix
-    under B) when the plane is calibrated for the classified form --
-    positively calibrated (spacelike as well) for a split-type form --
-    else None.  phi(v1, v2, v3) = sum phi_J t_J over the plane's stored
-    trivector t."""
+    """(phi on the plane's basis, det G, W = V B) when the plane is
+    calibrated for the classified form -- positively calibrated (spacelike
+    as well) for a split-type form -- else None; G = W V^T is the plane's
+    Gram matrix under B.  phi(v1, v2, v3) = sum phi_J t_J over the plane's
+    stored trivector t, and det B is classify7's."""
     if plane.dim != phi.dim:
         raise DimensionError("vector length does not match dimension")
     terms = phi.terms
     val = sum((terms[t] * c for t, c in zip(_TRIPLES, plane.trivector) if c and t in terms), ZERO)
     if val.sign() <= 0:
         return None
-    gram = cls.bilinear.restrict(plane.vectors)
-    if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
+    w = linalg.mat_mul(plane.vectors, cls.bilinear.entries)
+    gram = linalg.mat_mul(w, linalg.transpose(plane.vectors))
+    if cls.orbit is Orbit7.G2_TILDE and signature(SymBilinear(3, gram)) != (3, 0, 0):
         return None
-    lhs = val ** 6 * linalg.det(cls.bilinear.entries)
-    det_gram = linalg.det(gram.entries)
-    if lhs != det_gram ** 3:
+    det_gram = linalg.det(gram)
+    if val ** 6 * cls._det != det_gram ** 3:
         return None
-    return val, det_gram
+    return val, det_gram, w
 
 
 def is_calibrated(phi, plane):
@@ -75,8 +76,7 @@ def calibrated_swap(phi, plane):
     if found is None:
         kind = "calibrated" if cls.orbit is Orbit7.G2 else "positively calibrated"
         raise NotCalibratedError(f"plane is not {kind} for this form")
-    val, det_gram = found
-    w = linalg.mat_mul(plane.vectors, cls.bilinear.entries)
+    val, det_gram, w = found
     minors = _minors.minor_sums({(1, 2, 3): val * Scalar(2) / det_gram}, w)
     return KForm._trusted(7, 3, minors) - phi
 

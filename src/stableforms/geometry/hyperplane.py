@@ -19,7 +19,7 @@ from enum import Enum
 
 from ..errors import DimensionError, NullHyperplaneError
 from ..exterior import Endo, KForm, linalg
-from ..exterior._minors import _scatter_table, _wedge_row, minor_sums, read_off, to_scalar
+from ..exterior._minors import _scatter_table, _wedge_row, bound, minor_sums, pack, read_off, scalars, shift
 from ..exterior.scalar import ZERO
 from .orbits import _PAIRS, _TRIPLES, Orbit7, _classified7
 
@@ -53,21 +53,15 @@ class HyperplaneSplit:
 def _minus_theta_wedge(phi, theta, omega):
     """phi - theta ^ omega over the 35 triples.  All three are read off
     over one denominator L, as (X + sqrt(d) Y) / L, so the result is
-    (L X - T ^ W) / L^2 in int pairs, with -T ^ W taken by the minor
-    kernel's `_wedge_row`: one wedge over Q, four over Q(sqrt d)."""
+    (L X - T ^ W) / L^2, with -T ^ W taken by one `_wedge_row` in ints,
+    packed over Q(sqrt d): four products of two factors each (L and X)."""
     coeffs = [phi.terms.get(t, ZERO) for t in _TRIPLES] + list(theta)
     x, y, d, den = read_off(coeffs + [omega.terms.get(p, ZERO) for p in _PAIRS])
-    y = y or [0] * len(x)
-    table = _scatter_table(7, 2)
-    rat, rad = [den * e for e in x[:35]], [den * e for e in y[:35]]
-    tx, ty = [-e for e in x[35:42]], [-e for e in y[35:42]]
-    _wedge_row(rat, tx, x[42:], table)
-    if d:
-        _wedge_row(rat, [d * e for e in ty], y[42:], table)
-        _wedge_row(rad, tx, y[42:], table)
-        _wedge_row(rad, ty, x[42:], table)
-    terms = {t: to_scalar(r, s, d, den * den) for t, r, s in zip(_TRIPLES, rat, rad) if r or s}
-    return KForm._trusted(7, 3, terms)
+    s = d and shift(4, 2, max(bound(x, y), den) ** 2)
+    x = pack(x, y, s)
+    out = [den * e for e in x[:35]]
+    _wedge_row(out, [-e for e in x[35:42]], x[42:], _scatter_table(7, 2))
+    return KForm._trusted(7, 3, scalars(zip(_TRIPLES, out), s, d, den * den))
 
 
 def hyperplane_split(phi, theta):
@@ -80,7 +74,7 @@ def hyperplane_split(phi, theta):
         raise DimensionError("covector is zero")
     b = cls.bilinear
     u = linalg.solve(b.entries, theta)  # B(u, .) = theta
-    norm = b.apply(u, u)                # equals theta(u)
+    norm = sum((t * v for t, v in zip(theta, u)), ZERO)  # B(u, u) = theta(u)
     s = norm.sign()
     if s == 0:
         raise NullHyperplaneError("hyperplane is null for the induced metric")

@@ -8,7 +8,7 @@ built from (u . rho) ^ rho separates complex type (negative), para type
 structure, the dual form, and the extension criteria.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -25,7 +25,8 @@ from ..exterior import (
     linalg,
     signature,
 )
-from ..exterior._minors import read_off, to_scalar
+from ..exterior._minors import Table, bound, pack, read_off, shift, to_scalar, unpack
+from ..exterior.bilinear import _signature
 from ..exterior.forms import sort_signed
 from ..exterior.scalar import ZERO
 from .planes import OrientedPlane
@@ -49,6 +50,9 @@ class Class7:
     standard_orientation: Optional[bool]
     signature: Signature
     bilinear: SymBilinear
+    # det B from the signature's last pivot, for the swap.  Not typed
+    # Optional[Scalar]: typing's cache would keep each re-imported Scalar.
+    _det: Scalar = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,31 +110,31 @@ def _cubic_table():
                     mono = acc.setdefault(1 << a | 1 << b | 1 << r, [a, b, r, 0])
                     mono[3] += sa * sb * s
         table.append(tuple((a, b, r, k // 3) for a, b, r, k in acc.values() if k))
-    return tuple(table)
+    return Table(table, 30)
 
 
-def _cubic(x, y, d, monomials):
-    """(R, S) with R + sqrt(d) S = sum k v_a v_b v_c over the monomials
-    (a, b, c, k) for v = X + sqrt(d) Y (Y None if d = 0), in int pairs."""
+def _sums(x, y, d, table, m, total):
+    """[(R, S)] per entry e of the `_minors.Table` `table`, R + sqrt(d) S
+    being total(v, e), a signed sum of products of m entries of v = X +
+    sqrt(d) Y (Y None if d = 0): in ints, packed over Q(sqrt d)."""
     if not d:
-        return sum(k * x[a] * x[b] * x[c] for a, b, c, k in monomials), 0
-    r = s = 0
-    for a, b, c, k in monomials:
-        u = x[a] * x[b] + d * y[a] * y[b]  # v_a v_b = u + sqrt(d) w
-        w = x[a] * y[b] + y[a] * x[b]
-        r += k * (u * x[c] + d * w * y[c])
-        s += k * (u * y[c] + w * x[c])
-    return r, s
+        return [(total(x, e), 0) for e in table]
+    s = shift(table.weight, m, bound(x, y) ** m)
+    v = pack(x, y, s)
+    return [unpack(total(v, e), s, d) for e in table]
 
 
-def _quadratic(x, y, d, table):
-    """[(R, S)] with R + sqrt(d) S = sum s v_a v_b over the products (a, b,
-    s) of each entry of `table`, v = X + sqrt(d) Y (Y None if d = 0)."""
-    if not d:
-        return [(sum(s * x[a] * x[b] for a, b, s in e), 0) for e in table]
-    rat = [sum(s * (x[a] * x[b] + d * y[a] * y[b]) for a, b, s in e) for e in table]
-    rad = [sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in e) for e in table]
-    return list(zip(rat, rad))
+def _cube(v, monomials):
+    return sum(k * v[a] * v[b] * v[c] for a, b, c, k in monomials)
+
+
+def _square(v, products):
+    return sum(s * v[a] * v[b] for a, b, s in products)
+
+
+def _cubic(x, y, d, table):
+    """_sums of the cubic monomials (a, b, c, k) of a one-entry table."""
+    return _sums(x, y, d, table, 3, _cube)[0]
 
 
 def induced_bilinear(phi):
@@ -147,16 +151,17 @@ def induced_bilinear(phi):
     denominator L, the lcm of the denominators of all their rational and
     radical parts, so that phi = (X + sqrt(d) Y) / L with integer
     coefficient vectors X, Y and the form's single radicand d.  Each
-    cubic is evaluated once, in ints over Q and in int pairs over
-    Q(sqrt d), to R + sqrt(d) S, and B = (R + sqrt(d) S) / (2 L^3).
+    cubic is evaluated once, in ints over Q and on the packed ints
+    X + 2^s Y over Q(sqrt d) (`exterior._minors.pack`), to R + sqrt(d) S,
+    and B = (R + sqrt(d) S) / (2 L^3).
     A form carrying two different radicands raises ScalarContextError.
     """
     _require(phi, 7, 3, "induced_bilinear")
     x, y, d, den = read_off([phi.terms.get(t, ZERO) for t in _TRIPLES])
     scale = 2 * den ** 3
     rows = [[None] * 7 for _ in range(7)]
-    for (i, j), monomials in zip(_UPPER, _cubic_table()):
-        rows[i][j] = rows[j][i] = to_scalar(*_cubic(x, y, d, monomials), d, scale)
+    for (i, j), (r, s) in zip(_UPPER, _sums(x, y, d, _cubic_table(), 3, _cube)):
+        rows[i][j] = rows[j][i] = to_scalar(r, s, d, scale)
     return SymBilinear(7, rows)
 
 
@@ -173,8 +178,8 @@ def classify7(phi):
     """Orbit of a 3-form on R^7 plus the orientation it is entered with."""
     _require(phi, 7, 3, "classify7")
     b = induced_bilinear(phi)
-    sig = signature(b)
-    return Class7(*_ORBITS7.get(sig, (Orbit7.NON_STABLE, None)), sig, b)
+    sig, det = _signature(b)
+    return Class7(*_ORBITS7.get(sig, (Orbit7.NON_STABLE, None)), sig, b, det)
 
 
 def _classified7(phi, orbit, what):
@@ -210,14 +215,14 @@ def _hitchin_table():
                 s_wedge = sort_signed(a + b)[1]
                 entry.append((at[t], at[b], sign_j * s_contract * s_wedge))
             table.append(tuple(entry))
-    return tuple(table)
+    return Table(table, 10)
 
 
 @cache
 def _trace_table():
     """trace(K^2) as a one-entry table over the row-major entries of K."""
     upper = ((i, j) for j in range(6) for i in range(j + 1))
-    return (tuple((6 * i + j, 6 * j + i, 1 + (i < j)) for i, j in upper),)
+    return Table((tuple((6 * i + j, 6 * j + i, 1 + (i < j)) for i, j in upper),), 36)
 
 
 def hitchin_endomorphism(rho):
@@ -225,25 +230,25 @@ def hitchin_endomorphism(rho):
 
     K_ji is (-1)^(j-1) times the coefficient of (e_i . rho) ^ rho at the
     5-set missing j, a signed sum of products of two coefficients of rho
-    (`_hitchin_table`), taken by `_quadratic` on the integer read-off
+    (`_hitchin_table`), taken by `_sums` on the integer read-off
     rho = (X + sqrt(d) Y) / L and divided by L^2.  A form carrying two
     different radicands raises ScalarContextError."""
     _require(rho, 6, 3, "hitchin_endomorphism")
     x, y, d, den = read_off([rho.terms.get(t, ZERO) for t in _TRIPLES6])
-    flat = [to_scalar(r, s, d, den * den) for r, s in _quadratic(x, y, d, _hitchin_table())]
+    flat = [to_scalar(r, s, d, den * den) for r, s in _sums(x, y, d, _hitchin_table(), 2, _square)]
     return Endo(6, [flat[i : i + 6] for i in range(0, 36, 6)])
 
 
 def hitchin_invariant(rho, endo=None):
     """The quartic invariant trace(K^2)/6 = sum_ij K_ij K_ji / 6; K^2
-    equals this multiple of Id.  The trace is one `_quadratic` entry on
-    the read-off K = (X + sqrt(d) Y) / L, over L^2."""
+    equals this multiple of Id.  The trace is one `_sums` entry on the
+    read-off K = (X + sqrt(d) Y) / L, over L^2."""
     if endo is None:
         endo = hitchin_endomorphism(rho)
     elif endo.dim != 6:
         raise DimensionError(f"hitchin_invariant requires a 6 x 6 K, got {endo.dim} x {endo.dim}")
     x, y, d, den = read_off([e for row in endo.entries for e in row])
-    ((r, s),) = _quadratic(x, y, d, _trace_table())
+    ((r, s),) = _sums(x, y, d, _trace_table(), 2, _square)
     return to_scalar(r, s, d, 6 * den * den)
 
 
@@ -333,14 +338,15 @@ def para_hermitian_form(rho, omega):
 @cache
 def _pfaffian_table():
     """The 15 perfect matchings {P, Q, R} of {1..6} as (P, Q, R,
-    sign(P, Q, R)), indices into _PAIRS6, so that the Pfaffian is
-    Pf(omega) = sum sign omega_P omega_Q omega_R; omega^3 = 6 Pf(omega) vol."""
-    return tuple(
+    sign(P, Q, R)), indices into _PAIRS6, the one entry of the table, so
+    that Pf(omega) = sum sign omega_P omega_Q omega_R; omega^3 = 6 Pf vol."""
+    matchings = (
         (a, b, c, s)
         for (a, p), (b, q), (c, r) in combinations(enumerate(_PAIRS6), 3)
         for s in (sort_signed(p + q + r)[1],)
         if s
     )
+    return Table((tuple(matchings),), 15)
 
 
 def extension_admissible(rho, omega):

@@ -9,6 +9,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import comb
 from operator import mul
 
 from stableforms import (
@@ -34,9 +35,11 @@ from stableforms import (
     top_coefficient,
 )
 from stableforms.exterior import linalg, square_free_split
-from stableforms.exterior._minors import read_off, to_scalar
+from stableforms.exterior._minors import _scatter_table, _wedge_row, read_off, to_scalar
+from stableforms.exterior.linalg import _int_rows
 from stableforms.exterior.forms import merge_signed, sort_signed
 from stableforms.exterior.scalar import ZERO, _MIXED, _PLAIN, _PURE
+from stableforms.geometry import orbits
 from stableforms.geometry.orbits import _TRIPLES6, Class7, _require
 from stableforms.f2 import q_pochhammer
 from stableforms.torus import GaussQ, TrigForm
@@ -1701,6 +1704,252 @@ def evaluate_calibration(phi, cls, plane):
     positively calibrated (spacelike as well) for a split-type form --
     else None."""
     val = phi.evaluate(*plane.vectors)
+    if val.sign() <= 0:
+        return None
+    gram = cls.bilinear.restrict(plane.vectors)
+    if cls.orbit is Orbit7.G2_TILDE and signature(gram) != (3, 0, 0):
+        return None
+    lhs = val ** 6 * linalg.det(cls.bilinear.entries)
+    det_gram = linalg.det(gram.entries)
+    if lhs != det_gram ** 3:
+        return None
+    return val, det_gram
+
+
+# -- the Z[sqrt d] pair products that Kronecker packing replaced, verbatim ----
+# Before packing, each kernel wrote out (x + sqrt(d) y)(u + sqrt(d) v) by
+# hand over Q(sqrt d): the orbit cubic and quadratic in int pairs, the
+# minor kernel with up to four wedges per row, the matrix product with the
+# block matrix [[X, dY], [Y, X]], theta ^ omega with four wedges and the
+# contraction with separate rational and radical dicts.  _calibration
+# restricted B to the plane and took a fresh 7 x 7 det(B).  Only the names
+# differ: `pair_cubic`, `pair_quadratic`, `pair_minor_sums`,
+# `block_product`, `pair_minus_theta_wedge`, `pair_contract` (the method as
+# a function) and `restrict_calibration`; `pair_induced_bilinear`,
+# `pair_hitchin_endomorphism` and `pair_hitchin_invariant` are the callers
+# of the first two, on the same tables.  Elimination keeps its pairs, but
+# its step multiplied each new row by the conjugate of the previous pivot,
+# where now the conjugate is folded into the pivot and the factor first:
+# `conjugate_pair_step`.
+
+
+def pair_cubic(x, y, d, monomials):
+    """(R, S) with R + sqrt(d) S = sum k v_a v_b v_c over the monomials
+    (a, b, c, k) for v = X + sqrt(d) Y (Y None if d = 0), in int pairs."""
+    if not d:
+        return sum(k * x[a] * x[b] * x[c] for a, b, c, k in monomials), 0
+    r = s = 0
+    for a, b, c, k in monomials:
+        u = x[a] * x[b] + d * y[a] * y[b]  # v_a v_b = u + sqrt(d) w
+        w = x[a] * y[b] + y[a] * x[b]
+        r += k * (u * x[c] + d * w * y[c])
+        s += k * (u * y[c] + w * x[c])
+    return r, s
+
+
+def pair_quadratic(x, y, d, table):
+    """[(R, S)] with R + sqrt(d) S = sum s v_a v_b over the products (a, b,
+    s) of each entry of `table`, v = X + sqrt(d) Y (Y None if d = 0)."""
+    if not d:
+        return [(sum(s * x[a] * x[b] for a, b, s in e), 0) for e in table]
+    rat = [sum(s * (x[a] * x[b] + d * y[a] * y[b]) for a, b, s in e) for e in table]
+    rad = [sum(s * (x[a] * y[b] + y[a] * x[b]) for a, b, s in e) for e in table]
+    return list(zip(rat, rad))
+
+
+def pair_induced_bilinear(phi):
+    _require(phi, 7, 3, "induced_bilinear")
+    x, y, d, den = read_off([phi.terms.get(t, ZERO) for t in _TRIPLES7])
+    scale = 2 * den ** 3
+    rows = [[None] * 7 for _ in range(7)]
+    for (i, j), monomials in zip(_UPPER7, orbits._cubic_table()):
+        rows[i][j] = rows[j][i] = to_scalar(*pair_cubic(x, y, d, monomials), d, scale)
+    return SymBilinear(7, rows)
+
+
+def pair_hitchin_endomorphism(rho):
+    _require(rho, 6, 3, "hitchin_endomorphism")
+    x, y, d, den = read_off([rho.terms.get(t, ZERO) for t in _TRIPLES6])
+    flat = [to_scalar(r, s, d, den * den) for r, s in pair_quadratic(x, y, d, orbits._hitchin_table())]
+    return Endo(6, [flat[i : i + 6] for i in range(0, 36, 6)])
+
+
+def pair_hitchin_invariant(rho, endo=None):
+    if endo is None:
+        endo = pair_hitchin_endomorphism(rho)
+    elif endo.dim != 6:
+        raise DimensionError(f"hitchin_invariant requires a 6 x 6 K, got {endo.dim} x {endo.dim}")
+    x, y, d, den = read_off([e for row in endo.entries for e in row])
+    ((r, s),) = pair_quadratic(x, y, d, orbits._trace_table())
+    return to_scalar(r, s, d, 6 * den * den)
+
+
+def pair_minor_sums(terms, matrix):
+    """{J: Σ_I c_I det(matrix[I][J])} over the increasing 1-based k-tuples
+    J of columns, non-zero values only, as Scalars.
+
+    `terms` maps increasing 1-based row tuples I, all of one length k, to
+    Scalars c_I; `matrix` is a sequence of rows of Scalars, all of one
+    width.  Degree 0 gives {(): c}.  The sum is the pullback
+    Σ_I c_I row_I1 ^ ... ^ row_Ik, taken by Horner's rule over index
+    prefixes: the part with prefix P is Σ_r row_r ^ (the part with prefix
+    P + (r,)), so k steps of `_wedge_row` give it.  Over Q(sqrt(d)) a row
+    X + sqrt(d) Y and a part f0 + sqrt(d) f1 give the rational half
+    X^f0 + dY^f1 and the radical half X^f1 + Y^f0, with the wedges of Y
+    skipped when Y is zero.  Coefficients and matrix must share one
+    radicand, else ScalarContextError."""
+    items = [(idx, c) for idx, c in terms.items() if c]
+    if not items:
+        return {}
+    k = len(items[0][0])
+    if k == 0:
+        return {(): items[0][1]}
+    x, y, d, cden = read_off([c for _, c in items])
+    mx, my, d, mden = read_off([e for row in matrix for e in row], d)
+    width = len(matrix[0])
+    rows = []
+    for i in range(len(matrix)):
+        cut = slice(i * width, (i + 1) * width)
+        ry = my[cut] if d and any(my[cut]) else None
+        rows.append((mx[cut], ry and [d * e for e in ry], ry))
+    y = y or [0] * len(x)
+    parts = {idx: ([a], [b]) for (idx, _), a, b in zip(items, x, y)}
+    for h in range(k):
+        table = _scatter_table(width, h)
+        size = comb(width, h + 1)
+        grown = {}
+        for idx, (f0, f1) in parts.items():
+            acc = grown.get(idx[:-1])
+            if acc is None:
+                acc = grown[idx[:-1]] = ([0] * size, [0] * size)
+            rx, rdy, ry = rows[idx[-1] - 1]
+            _wedge_row(acc[0], rx, f0, table)
+            if d:
+                _wedge_row(acc[1], rx, f1, table)
+                if ry:
+                    _wedge_row(acc[0], rdy, f1, table)
+                    _wedge_row(acc[1], ry, f0, table)
+        parts = grown
+    rat, rad = parts[()]
+    den = cden * mden**k
+    return {
+        J: to_scalar(p, q, d, den)
+        for J, p, q in zip(combinations(range(1, width + 1), k), rat, rad)
+        if p or q
+    }
+
+
+def block_product(factors, width):
+    """The product of the matrices `factors`, the last with `width`
+    columns.  All entries are read off at once as (X + sqrt(d) Y) / L, and
+    the product is accumulated from the right in ints: over Q(sqrt(d)) a
+    factor X + sqrt(d) Y acts as the block matrix [[X, dY], [Y, X]] on the
+    rational part stacked over the radical part.  The entries become
+    Scalars once, over L to the number of factors."""
+    mats = [linalg.coerce_matrix(f) for f in factors]
+    for a, b in zip(mats, mats[1:]):
+        if a and len(a[0]) != len(b):
+            raise DimensionError(f"cannot multiply {len(a[0])} columns into {len(b)} rows")
+    x, y, d, den = read_off([e for m in mats for row in m for e in row])
+    parts, pos = [], 0
+    for m in mats:
+        w = len(m[0]) if m else 0
+        end = pos + len(m) * w
+        parts.append((_int_rows(x[pos:end], len(m), w), _int_rows(y[pos:end], len(m), w) if d else None))
+        pos = end
+    xs, ys = parts.pop()
+    acc = xs + ys if d else xs
+    for xs, ys in reversed(parts):
+        if d:
+            xs = [r + [d * e for e in s] for r, s in zip(xs, ys)] + [s + r for r, s in zip(xs, ys)]
+        cols = list(zip(*acc)) or [()] * width
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in xs]
+    den **= len(mats)
+    n = len(mats[0])
+    rad = acc[n:] if d else [[0] * width] * n
+    return tuple(
+        tuple(to_scalar(p, q, d, den) for p, q in zip(r, s)) for r, s in zip(acc[:n], rad)
+    )
+
+
+def pair_minus_theta_wedge(phi, theta, omega):
+    """phi - theta ^ omega over the 35 triples.  All three are read off
+    over one denominator L, as (X + sqrt(d) Y) / L, so the result is
+    (L X - T ^ W) / L^2 in int pairs, with -T ^ W taken by the minor
+    kernel's `_wedge_row`: one wedge over Q, four over Q(sqrt d)."""
+    coeffs = [phi.terms.get(t, ZERO) for t in _TRIPLES7] + list(theta)
+    x, y, d, den = read_off(coeffs + [omega.terms.get(p, ZERO) for p in _PAIRS7])
+    y = y or [0] * len(x)
+    table = _scatter_table(7, 2)
+    rat, rad = [den * e for e in x[:35]], [den * e for e in y[:35]]
+    tx, ty = [-e for e in x[35:42]], [-e for e in y[35:42]]
+    _wedge_row(rat, tx, x[42:], table)
+    if d:
+        _wedge_row(rat, [d * e for e in ty], y[42:], table)
+        _wedge_row(rad, tx, y[42:], table)
+        _wedge_row(rad, ty, x[42:], table)
+    terms = {t: to_scalar(r, s, d, den * den) for t, r, s in zip(_TRIPLES7, rat, rad) if r or s}
+    return KForm._trusted(7, 3, terms)
+
+
+def pair_contract(self, u):
+    """Interior product: (u . alpha)(v1..) = alpha(u, v1..).  u and the
+    coefficients are read off once as ints over one denominator L; each
+    output coefficient sums +-u_i c_I in ints (int pairs over
+    Q(sqrt(d))) and becomes a Scalar over L^2."""
+    if self.degree < 1:
+        raise DimensionError("cannot contract a degree-0 form")
+    u = linalg.coerce_vector(u)
+    if len(u) != self.dim:
+        raise DimensionError("vector length does not match dimension")
+    x, y, d, den = read_off(u + tuple(self.terms.values()))
+    y = y or [0] * len(x)
+    rat, rad = {}, {}
+    for k, idx in enumerate(self.terms, len(u)):
+        c, e = x[k], y[k]
+        for p, i in enumerate(idx):
+            a, b = x[i - 1], y[i - 1]
+            if a or b:
+                if p & 1:
+                    a, b = -a, -b
+                rest = idx[:p] + idx[p + 1 :]
+                rat[rest] = rat.get(rest, 0) + a * c + d * b * e
+                rad[rest] = rad.get(rest, 0) + a * e + b * c
+    den *= den
+    out = {rest: to_scalar(r, rad[rest], d, den) for rest, r in rat.items() if r or rad[rest]}
+    return KForm._trusted(self.dim, self.degree - 1, out)
+
+
+def conjugate_pair_step(d):
+    """The elimination step on int pairs (s, t) = s + t sqrt(d).  Division
+    by prev = (q0, q1) multiplies by its conjugate and divides both parts
+    exactly by the norm q0^2 - d q1^2."""
+
+    def step(p, f, a, b, prev):
+        (p0, p1), (f0, f1), (q0, q1) = p, f, prev
+        dp1, df1 = d * p1, d * f1
+        out = [
+            (p0 * x0 + dp1 * x1 - f0 * y0 - df1 * y1, p0 * x1 + p1 * x0 - f0 * y1 - f1 * y0)
+            for (x0, x1), (y0, y1) in zip(a, b)
+        ]
+        if not q1:
+            return [(s // q0, t // q0) for s, t in out]
+        dq1, norm = d * q1, q0 * q0 - d * q1 * q1
+        return [((s * q0 - t * dq1) // norm, (t * q0 - s * q1) // norm) for s, t in out]
+
+    return step
+
+
+def restrict_calibration(phi, cls, plane):
+    """(phi on the plane's basis, determinant of the plane's Gram matrix
+    under B) when the plane is calibrated for the classified form --
+    positively calibrated (spacelike as well) for a split-type form --
+    else None.  phi(v1, v2, v3) = sum phi_J t_J over the plane's stored
+    trivector t."""
+    if plane.dim != phi.dim:
+        raise DimensionError("vector length does not match dimension")
+    terms = phi.terms
+    val = sum((terms[t] * c for t, c in zip(_TRIPLES7, plane.trivector) if c and t in terms), ZERO)
     if val.sign() <= 0:
         return None
     gram = cls.bilinear.restrict(plane.vectors)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import evaluate_calibration, rand_glplus, rand_vector
+from oracles import evaluate_calibration, rand_glplus, rand_vector, restrict_calibration
 from stableforms import (
     KForm,
     NotCalibratedError,
@@ -220,9 +220,10 @@ def test_swap_is_involution_over_radicals():
 
 
 def test_calibration_on_the_stored_trivector_matches_evaluate():
-    """_calibration, reading phi(v1, v2, v3) off the plane's trivector,
-    equals the evaluate path it replaced; is_calibrated,
-    is_positively_calibrated and calibrated_swap follow it exactly, over
+    """_calibration, reading phi(v1, v2, v3) off the plane's trivector and
+    det B off classify7's last pivot, equals the evaluate and restrict
+    paths it replaced; is_calibrated, is_positively_calibrated and
+    calibrated_swap follow it exactly, over
     Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), on calibrated, uncalibrated,
     reversed-orientation and timelike planes."""
     rng = random.Random(37)
@@ -247,7 +248,8 @@ def test_calibration_on_the_stored_trivector_matches_evaluate():
             planes.append(OrientedPlane(7, [rand_vector(rng, 7) for _ in range(3)]))
             for pl in planes:
                 want = evaluate_calibration(phi, cls, pl)
-                assert calibration._calibration(phi, cls, pl) == want
+                found = calibration._calibration(phi, cls, pl)
+                assert (found and found[:2]) == want == restrict_calibration(phi, cls, pl)
                 verdicts.add((name, want is not None))
                 check = is_calibrated if name == "g2" else is_positively_calibrated
                 assert check(phi, pl) == (want is not None)

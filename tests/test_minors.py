@@ -467,4 +467,4 @@ def test_minor_loops_call_no_det(monkeypatch):
     phi.evaluate(*vectors)
     hodge_star(g, vol, phi)
     calibrated_swap(phi, plane)
-    assert calls == [7, 7, 3]
+    assert calls == [7, 3]
