@@ -1551,8 +1551,9 @@ class FractionScalar:
         raise ValueError(f"malformed scalar literal {text!r}")
 
 
-# -- the hand-written product sums that `_quadratic`, `_wedge_row`, one
-# orbit table and `_SparseForm.__eq__` replaced, verbatim --------------------
+# -- the hand-written product sums that a quadratic evaluator (now
+# `orbits._sums`), `_wedge_row`, one orbit table and `_SparseForm.__eq__`
+# replaced, verbatim ---------------------------------------------------------
 # hitchin_endomorphism walked a nested 6 x 6 table and wrote out the
 # Z[sqrt d] product of each entry; hitchin_invariant took the trace of K^2
 # over transposed read-offs; _minus_theta_wedge indexed theta ^ omega with

@@ -205,7 +205,7 @@ def test_import_builds_no_table():
 
 
 def test_quadratic_matches_the_written_out_sums_over_four_fields():
-    """hitchin_endomorphism and hitchin_invariant, taken by `_quadratic`,
+    """hitchin_endomorphism and hitchin_invariant, taken by `_sums`,
     equal the nested-table and transposed-trace sums they replaced exactly
     on dense, sparse, degenerate and fractional inputs over Q, Q(sqrt 2),
     Q(sqrt 3) and Q(sqrt 5)."""
